@@ -13,6 +13,14 @@ Writes the ``analytic`` section of ``BENCH_search.json``:
   scorer vs the pre-incremental per-node path, identical argmin
   asserted for every pair.
 
+It also writes the top-level ``oracle_memory`` section: wall time and
+peak RSS of the depth-12 gpt2-345m / gpt2-762m oracle searches, each in
+a fresh subprocess, next to the figures recorded before the search was
+tiled (full ``(p, admitted)`` cost matrices swept in 131072-column
+blocks).  The gpt2-345m depth-16 search (~20M admitted candidates,
+minutes of CPU) runs only with ``REPRO_BENCH_ORACLE16=1``; otherwise
+the row already in ``BENCH_search.json`` is kept.
+
 Guards, per the issue's acceptance criteria (depth-8 row):
 
 * >= 10x vs the **per-node** oracle baseline (the ``per_node_seconds``
@@ -27,12 +35,21 @@ Guards, per the issue's acceptance criteria (depth-8 row):
 
 from __future__ import annotations
 
+import json
+import os
+import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from benchmarks.conftest import run_and_print
-from benchmarks.test_bench_ablation_search import merge_into_search_results
+from benchmarks.test_bench_ablation_search import (
+    _SEARCH_RESULTS_PATH,
+    merge_into_search_results,
+)
 from benchmarks.test_bench_incremental import TINY12
 from repro.baselines.megatron import uniform_partition
 from repro.config import TrainConfig
@@ -189,6 +206,108 @@ def run_oracle_end_to_end():
     return result, rows_json
 
 
+#: One oracle search in a fresh interpreter: argv = model, depth.
+#: Prints wall seconds, the process's peak RSS and the search counters.
+_ORACLE_CHILD = """
+import json, resource, sys, time
+from repro.config import TrainConfig
+from repro.core.exhaustive import exhaustive_partition
+from repro.hardware.device import DEFAULT_CLUSTER_HW
+from repro.models.zoo import get_model
+from repro.profiling import profile_model
+model, depth = sys.argv[1], int(sys.argv[2])
+m = 4 * depth
+train = TrainConfig(micro_batch_size=4, global_batch_size=4 * m)
+profile = profile_model(get_model(model), DEFAULT_CLUSTER_HW, train)
+t0 = time.perf_counter()
+res = exhaustive_partition(profile, depth, m, max_evaluations=None,
+                           jobs=1, cache=False)
+wall = time.perf_counter() - t0
+# VmHWM is this process image's own high-water mark; ru_maxrss would
+# also cover the forking parent's RSS, which Linux carries across exec.
+peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    with open("/proc/self/status") as fh:
+        peak_kb = next(int(line.split()[1]) for line in fh
+                       if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    pass
+print(json.dumps({
+    "wall_seconds": wall,
+    "peak_rss_mb": peak_kb / 1024,
+    "evaluations": res.evaluations, "space": res.space,
+    "sizes": list(res.partition.sizes),
+}))
+"""
+
+#: The same child run against the search before tiling (full admitted
+#: cost matrices, 131072-column kernel blocks, breadth-first prefix
+#: levels); medians of three runs on a 2-vCPU x86 VM, Python 3.11,
+#: numpy 2.4.  At depth 16 that search was OOM-killed (it reached
+#: ~5.8 GB RSS expanding the 9.95M-prefix level).
+ORACLE_MEMORY_BEFORE = {
+    ("gpt2-345m", 12): {"wall_seconds": 1.66, "peak_rss_mb": 252.6},
+    ("gpt2-762m", 12): {"wall_seconds": 1.79, "peak_rss_mb": 281.9},
+}
+
+#: The depth-16 search must finish under this peak RSS.
+DEEP_RSS_LIMIT_MB = 512.0
+
+
+def _oracle_child(model: str, depth: int) -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _ORACLE_CHILD, model, str(depth)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def run_oracle_memory(deep: bool = False) -> dict:
+    rows = []
+    for (model, depth), before in ORACLE_MEMORY_BEFORE.items():
+        after = _oracle_child(model, depth)
+        rows.append({
+            "model": model, "depth": depth, "micro_batches": 4 * depth,
+            "evaluations": after["evaluations"], "space": after["space"],
+            "before": before,
+            "after": {k: after[k] for k in ("wall_seconds", "peak_rss_mb")},
+            "rss_ratio": before["peak_rss_mb"] / after["peak_rss_mb"],
+            "speedup": before["wall_seconds"] / after["wall_seconds"],
+        })
+    previous = {}
+    if _SEARCH_RESULTS_PATH.exists():
+        try:
+            previous = json.loads(_SEARCH_RESULTS_PATH.read_text())
+        except ValueError:
+            previous = {}
+    deep_row = previous.get("oracle_memory", {}).get("deep")
+    if deep:
+        after = _oracle_child("gpt2-345m", 16)
+        deep_row = {
+            "model": "gpt2-345m", "depth": 16, "micro_batches": 64,
+            "evaluations": after["evaluations"], "space": after["space"],
+            "wall_seconds": after["wall_seconds"],
+            "peak_rss_mb": after["peak_rss_mb"],
+            "before": "OOM-killed (~5.8 GB RSS during prefix expansion)",
+        }
+    payload = {
+        "command": "REPRO_BENCH_ORACLE16=1 PYTHONPATH=src python -m pytest "
+                   "-q -s benchmarks/test_bench_analytic.py",
+        "machine": {
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "depth12": rows,
+        "deep": deep_row,
+    }
+    merge_into_search_results("oracle_memory", payload)
+    return payload
+
+
 def run_analytic_bench():
     kernel_result, kernel_rows = run_kernel_vs_executors()
     oracle_result, oracle_rows = run_oracle_end_to_end()
@@ -218,3 +337,22 @@ def test_bench_analytic(benchmark):
     # wide margin at every depth (measured 60-260x; floor at 20x).
     for row in result.rows:
         assert float(row[-2].rstrip("x")) >= 20.0
+
+
+def test_bench_oracle_memory():
+    deep = os.environ.get("REPRO_BENCH_ORACLE16") == "1"
+    payload = run_oracle_memory(deep=deep)
+    for row in payload["depth12"]:
+        print(f"{row['model']}@{row['depth']}: "
+              f"{row['before']['wall_seconds']:.2f} s / "
+              f"{row['before']['peak_rss_mb']:.0f} MB before, "
+              f"{row['after']['wall_seconds']:.2f} s / "
+              f"{row['after']['peak_rss_mb']:.0f} MB after")
+        # The tiled walk's RSS is dominated by the interpreter and numpy
+        # (~40 MB); the untiled search sat at 250-280 MB.
+        assert row["after"]["peak_rss_mb"] <= 128.0
+    if deep:
+        row = payload["deep"]
+        print(f"gpt2-345m@16: {row['wall_seconds']:.1f} s, "
+              f"{row['peak_rss_mb']:.0f} MB, {row['evaluations']} evals")
+        assert row["peak_rss_mb"] <= DEEP_RSS_LIMIT_MB

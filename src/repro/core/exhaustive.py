@@ -91,8 +91,21 @@ from repro.robustness.evaluate import RobustObjective, robust_objective_batch
 #: prune the true optimum or a tie the brute force would have kept.
 _PRUNE_SLACK = 1.0 + 1e-9
 
-#: candidates buffered between vectorised evaluation passes.
-_DEFAULT_CHUNK = 1024
+#: candidates buffered between vectorised evaluation passes: the
+#: analytic search's kernel tile width (columns per frontier sweep) and
+#: the robust oracle's scoring rows (candidates x draws).  4096 keeps a
+#: tile's stage-cost and frontier matrices cache-resident; measured on a
+#: 2-vCPU x86 VM (m = 48), a 12 x 160k frontier sweep took 1231 ms of CPU
+#: in 131072-wide blocks, 492 ms at 8192, 411 ms at 4096 and 438-458 ms
+#: at 1024-2048.
+_DEFAULT_CHUNK = 4096
+
+#: prefixes expanded together per level by the analytic and robust
+#: searches' depth-first lexicographic walk (children are split so one
+#: expansion holds at most this many prefixes).  With the tile width it
+#: bounds the walk's working set to O(tile + batch * p) values, however
+#: many candidates the search admits.
+_PREFIX_BATCH = 4096
 
 #: prefix-checkpoint chains kept alive during one incremental search;
 #: on overflow the memo is dropped wholesale (correctness-free: chains
@@ -113,21 +126,6 @@ _CHAIN_MIN_GROUP = 8
 #: (the planner runs a few dozen scalar simulations; below this the
 #: whole search often costs less than that).
 _WARM_START_MIN_SPACE = 1_000_000
-
-#: admitted candidates assembled per frontier-kernel sweep in the
-#: analytic search (bounds peak memory at ~2 * p * 8 bytes per column;
-#: results are sweep-partition-invariant, so the block size is pure
-#: tuning).  ``chunk_size`` only overrides this upward — the kernel's
-#: fixed per-sweep cost would dominate at the suffix batches' default
-#: chunk of 1024.
-_ANALYTIC_BLOCK = 131_072
-
-#: columns below which a frontier sweep runs without the mid-sweep
-#: sieve.  On narrow blocks the sieve's checkpoint scans cost more than
-#: the lanes they retire (measured: a 3.9k-column depth-8 sweep is
-#: ~1.6x slower sieved), and skipping it is exact — the sieve only ever
-#: drops provably-over-limit columns.
-_SIEVE_MIN_COLS = 16_384
 
 
 @dataclass(frozen=True)
@@ -331,6 +329,200 @@ def _search_brute(
         state.offer(sizes, sim.iteration_time)
 
 
+def _fold_tables(
+    fwd: Sequence[float], bwd: Sequence[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Left-fold slice sums ``S[pos, size - 1]`` of blocks ``pos..``.
+
+    ``cumsum`` runs the same sequential accumulation as the brute
+    force's per-stage fold, so every in-range entry is bitwise the
+    stage cost :func:`_stage_sums` computes.  Entries past the last
+    block repeat the row total; the admission grids never reach them.
+    """
+    n = len(fwd)
+    src = np.arange(n)[:, None] + np.arange(n)[None, :]
+    in_range = src < n
+    clipped = np.minimum(src, n - 1)
+    SF = np.where(in_range, np.asarray(fwd, dtype=np.float64)[clipped], 0.0)
+    SB = np.where(in_range, np.asarray(bwd, dtype=np.float64)[clipped], 0.0)
+    np.cumsum(SF, axis=1, out=SF)
+    np.cumsum(SB, axis=1, out=SB)
+    return SF, SB
+
+
+def _size_grid(n: int, num_stages: int, s: int) -> np.ndarray:
+    """``(pos, size - 1)`` grid of stage ``s`` sizes that leave every
+    later stage at least one block."""
+    k_row = np.arange(n)[None, :]
+    return k_row < (n - np.arange(n)[:, None] - (num_stages - s - 1))
+
+
+def _first_sizes_mask(n: int, first_sizes: frozenset) -> np.ndarray:
+    return np.array(
+        [(k + 1) in first_sizes for k in range(n)], dtype=bool
+    )[None, :]
+
+
+def _iter_lex_tiles(
+    SF: np.ndarray,
+    SB: np.ndarray,
+    masks: Sequence[np.ndarray],
+    width: int,
+    dominance: Optional[_SearchState] = None,
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every admitted candidate, in lexicographic sizes order, in tiles.
+
+    ``masks[s]`` is the ``(pos, size - 1)`` admission grid of stage
+    ``s`` (``p - 1`` grids; the last stage takes the remaining blocks).
+    Yields stage-major ``(sizes, fwd, bwd)`` tiles of ``width`` columns
+    (the last one may be narrower), each column one candidate's stage
+    sizes and left-fold stage costs (``SF``/``SB`` from
+    :func:`_fold_tables`).  Tiles may be views; callers only read them.
+
+    The walk is depth-first over bounded batches: a level's prefixes are
+    expanded in groups of at most :data:`_PREFIX_BATCH` children, and
+    each group is walked to the leaves before the next is expanded.
+    ``np.nonzero`` lists each position's admitted sizes ascending and
+    ``repeat`` keeps siblings together, so the leaves arrive in
+    lexicographic order.  Memory is bounded by the batch and tile
+    sizes, never by the number of admitted candidates.
+
+    ``dominance`` (a search state) enables the dominance memo: a prefix
+    whose ``(pos, f_stages, b_stages)`` repeats an earlier prefix of the
+    same length is dropped with its subtree, counted on
+    ``dominance.dominance_pruned`` with the DFS memo's ``comb``
+    arithmetic.  The walk's lexicographic order makes the kept twin the
+    first one seen — the one the serial DFS explores.  Twins can only
+    differ at a stage whose fold is *flat* (another size at the same
+    position has identical fwd and bwd sums: zero-cost or absorbed
+    blocks), so only prefixes holding a flat stage are memoised; on
+    profiles without such stages the memo stays empty.
+    """
+    n = SF.shape[0]
+    p = len(masks) + 1
+    levels = []
+    for mk in masks:
+        w = mk.sum(axis=1)
+        levels.append((w, np.concatenate(([0], np.cumsum(w))),
+                       np.nonzero(mk)[1]))
+    q = np.arange(n)
+    suf_f = SF[q, n - q - 1]
+    suf_b = SB[q, n - q - 1]
+    flat = None
+    if dominance is not None:
+        valid = _size_grid(n, 1, 0)
+        same = (
+            (SF[:, :, None] == SF[:, None, :])
+            & (SB[:, :, None] == SB[:, None, :])
+            & valid[:, :, None] & valid[:, None, :]
+        )
+        flat = same.sum(axis=2) > 1
+        memo: List[set] = [set() for _ in range(p)]
+    pend: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    pend_cols = 0
+
+    def emit(pos, sz, fs, bs):
+        """Append the forced last stage and cut full tiles."""
+        nonlocal pend, pend_cols
+        k = pos.size
+        S = np.empty((p, k), dtype=np.int64)
+        F = np.empty((p, k))
+        B = np.empty((p, k))
+        S[:p - 1] = sz
+        F[:p - 1] = fs
+        B[:p - 1] = bs
+        S[p - 1] = n - pos
+        F[p - 1] = suf_f[pos]
+        B[p - 1] = suf_b[pos]
+        pend.append((S, F, B))
+        pend_cols += k
+        if pend_cols < width:
+            return
+        if len(pend) > 1:
+            S, F, B = (np.concatenate(part, axis=1) for part in zip(*pend))
+        full = pend_cols - pend_cols % width
+        for c in range(0, full, width):
+            yield S[:, c:c + width], F[:, c:c + width], B[:, c:c + width]
+        pend = [(S[:, full:], F[:, full:], B[:, full:])] \
+            if full < pend_cols else []
+        pend_cols -= full
+
+    def dedup(s, pos, fs, bs, fl) -> Optional[np.ndarray]:
+        """Keep-mask over a child group at length ``s``, or None."""
+        idx = np.flatnonzero(fl)
+        if idx.size == 0:
+            return None
+        keys = np.concatenate(
+            [pos[None, idx].astype(np.float64), fs[:, idx], bs[:, idx]]
+        ).T.tolist()
+        seen = memo[s]
+        drop = []
+        for i, key in zip(idx.tolist(), keys):
+            key = tuple(key)
+            if key in seen:
+                drop.append(i)
+                dominance.dominance_pruned += math.comb(
+                    n - int(key[0]) - 1, p - s - 1
+                )
+            else:
+                seen.add(key)
+        if not drop:
+            return None
+        keep = np.ones(pos.size, dtype=bool)
+        keep[drop] = False
+        return keep
+
+    def walk(s, pos, sz, fs, bs, fl):
+        if s == p - 1:
+            yield from emit(pos, sz, fs, bs)
+            return
+        w, off, fk = levels[s]
+        wc = w[pos]
+        ends = np.cumsum(wc)
+        i = 0
+        while i < pos.size:
+            base = int(ends[i - 1]) if i else 0
+            j = int(np.searchsorted(ends, base + _PREFIX_BATCH, side="right"))
+            if j <= i:
+                j = i + 1
+            total = int(ends[j - 1]) - base
+            if total:
+                rep = np.repeat(np.arange(i, j), wc[i:j])
+                r = np.arange(base, base + total) - (ends[rep] - wc[rep])
+                prow = pos[rep]
+                til = fk[off[prow] + r]
+                cpos = prow + til + 1
+                csz = np.empty((s + 1, total), dtype=np.int64)
+                cfs = np.empty((s + 1, total))
+                cbs = np.empty((s + 1, total))
+                csz[:s] = sz[:, rep]
+                cfs[:s] = fs[:, rep]
+                cbs[:s] = bs[:, rep]
+                csz[s] = til + 1
+                cfs[s] = SF[prow, til]
+                cbs[s] = SB[prow, til]
+                cfl = None
+                if flat is not None:
+                    cfl = fl[rep] | flat[prow, til]
+                    if s + 1 < p - 1:
+                        keep = dedup(s + 1, cpos, cfs, cbs, cfl)
+                        if keep is not None:
+                            cpos, csz, cfs, cbs, cfl = (
+                                cpos[keep], csz[:, keep], cfs[:, keep],
+                                cbs[:, keep], cfl[keep],
+                            )
+                yield from walk(s + 1, cpos, csz, cfs, cbs, cfl)
+            i = j
+
+    yield from walk(
+        0, np.zeros(1, dtype=np.int64), np.zeros((0, 1), dtype=np.int64),
+        np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(1, dtype=bool),
+    )
+    if pend_cols:
+        S, F, B = (np.concatenate(part, axis=1) for part in zip(*pend))
+        yield S, F, B
+
+
 def _search_robust(
     fwd: Sequence[float],
     bwd: Sequence[float],
@@ -343,63 +535,50 @@ def _search_robust(
     robust: RobustObjective,
     first_sizes: Optional[frozenset] = None,
 ) -> None:
-    """Exact robust oracle: chunked batched brute force over all candidates.
+    """Exact robust oracle: tiled batched brute force over all candidates.
 
     The nominal lower bounds of the pruned search do not transfer to a
     robust objective — a perturbation draw can reorder candidates the
     bounds assumed dominated — so the robust oracle enumerates every
-    candidate and evaluates whole chunks of them under all ``K`` draws
-    through one ``(C*K, n)`` :class:`PipelineSimBatch` pass
-    (:func:`~repro.robustness.evaluate.robust_objective_batch`).  Chunks
-    are sized so the batch stays near ``chunk_size`` *rows* (candidates
-    x draws), bounding peak memory.  ``offer`` runs per candidate in
-    enumeration order, so the argmin semantics (first lexicographic
-    candidate achieving the minimum objective) match the nominal brute
-    force's.  ``first_sizes`` shards the enumeration by first-stage
-    size for the multiprocess oracle; per-candidate objective values
-    are independent of chunk composition (the batched relaxation is
-    row-independent), so sharded values are bitwise those of the full
-    sweep.
+    candidate and scores whole tiles of them under all ``K`` draws
+    through one ``(C*K, n)`` frontier-kernel pass
+    (:func:`~repro.robustness.evaluate.robust_objective_batch`).
+    Candidates come from the same lexicographic tile walk and left-fold
+    ``cumsum`` tables as :func:`_search_analytic` (bitwise the brute
+    force's stage sums), and tiles hold ``chunk_size // K`` candidates,
+    so each pass scores about ``chunk_size`` *rows* (candidates x
+    draws).  ``offer`` runs per candidate in enumeration order, so the
+    argmin semantics (first lexicographic candidate achieving the
+    minimum objective) match the nominal brute force's.
+    ``first_sizes`` shards the enumeration by first-stage size for the
+    multiprocess oracle; per-candidate objective values are independent
+    of tile composition (the batched relaxation is row-independent), so
+    sharded values are bitwise those of the full sweep.
     """
     n = len(fwd)
-    factors = robust.factors(num_stages)
-    cand_chunk = max(1, chunk_size // factors.draws)
-    sizes_buf: List[Tuple[int, ...]] = []
-    f_buf: List[Tuple[float, ...]] = []
-    b_buf: List[Tuple[float, ...]] = []
+    p = num_stages
+    factors = robust.factors(p)
+    SF, SB = _fold_tables(fwd, bwd)
+    masks = [_size_grid(n, p, s) for s in range(p - 1)]
+    if first_sizes is not None and masks:
+        masks[0] &= _first_sizes_mask(n, first_sizes)
     tel = _obs.current()
-
-    def flush() -> None:
-        if not sizes_buf:
-            return
+    for S, F, B in _iter_lex_tiles(
+        SF, SB, masks, max(1, chunk_size // factors.draws)
+    ):
         t_f = tel.clock() if tel is not None else 0
         values = robust_objective_batch(
-            np.asarray(f_buf), np.asarray(b_buf), comm,
-            num_micro_batches, factors, robust.statistic,
+            F.T, B.T, comm, num_micro_batches, factors, robust.statistic,
             comm_mode=comm_mode,
         )
-        state.evaluations += len(sizes_buf)
-        for sizes, v in zip(sizes_buf, values.tolist()):
-            state.offer(sizes, v)
+        state.evaluations += S.shape[1]
+        for sizes, v in zip(S.T.tolist(), values.tolist()):
+            state.offer(tuple(sizes), v)
         if tel is not None:
             tel.record_since(
                 "oracle.chunk_flush", t_f,
-                rows=len(sizes_buf), draws=factors.draws,
+                rows=S.shape[1], draws=factors.draws,
             )
-        sizes_buf.clear()
-        f_buf.clear()
-        b_buf.clear()
-
-    for sizes in iter_partitions(n, num_stages):
-        if first_sizes is not None and sizes[0] not in first_sizes:
-            continue
-        f_stages, b_stages = _stage_sums(fwd, bwd, sizes)
-        sizes_buf.append(sizes)
-        f_buf.append(f_stages)
-        b_buf.append(b_stages)
-        if len(sizes_buf) >= cand_chunk:
-            flush()
-    flush()
 
 
 def _search_pruned(
@@ -1098,54 +1277,56 @@ def _search_analytic(
     identical :class:`_Bounds` tables, seeds, dominance memo and slack
     test — but leaves are *scored* by
     :func:`repro.sim.analytic.frontier_times_transposed`: admitted
-    candidates are assembled into stage-major ``(p, K)`` cost matrices
-    (each row built from the exact left-fold slice sums, so every column
-    is bitwise the brute force's stage-time vector) and one frontier
-    sweep replaces thousands of lattice relaxations.  The kernel is
-    bit-identical to :class:`PipelineSimBatch`, and ties are resolved by
-    reconstructing every minimum-time column and offering the
-    lexicographically smallest — so the returned partition and time are
-    the brute-force argmin, property-tested against it.
+    candidates stream through the kernel in stage-major ``(p,
+    chunk_size)`` tiles (each column built from the exact left-fold
+    slice sums, so it is bitwise the brute force's stage-time vector),
+    and one frontier sweep per tile replaces thousands of lattice
+    relaxations.  The kernel is bit-identical to
+    :class:`PipelineSimBatch`, and each tile's ties are resolved by
+    offering the lexicographically smallest minimum-time column — so
+    the returned partition and time are the brute-force argmin,
+    property-tested against it.
 
-    Three deliberate structural differences from the incremental path,
-    all exactness-preserving:
+    Structural differences from the incremental path, all
+    exactness-preserving:
 
-    * the admission limit is **fixed** after the warm seeds
-      (``seed_bound * prune_slack``) instead of tightening per flush.
-      Every candidate the evolving-limit search admits is admitted here
-      too (the set is a superset), so no optimum or tie can be lost;
-      the extra admitted columns cost one kernel lane each, not a
-      simulation.  It also makes the admitted set — hence
-      ``evaluations`` — deterministic across job counts, and it turns
-      admission *path-independent*: whether a child size is admitted
-      depends only on ``(s, pos)``, never on the DFS path, so the
-      recursion flattens into a **vectorized level expansion**.  Live
-      prefixes are numpy arrays (positions, sizes rows, stage-major
-      cost rows) expanded one stage at a time with ``repeat``/``tile``
-      gathers of the per-``(s, pos)`` admitted tables — no per-node
-      Python at all.  The dominance memo becomes a per-level
-      ``np.unique`` over ``(pos, f_stages, b_stages)`` rows: levels are
-      kept in lexicographic sizes order, so the first occurrence
-      ``np.unique`` keeps is exactly the twin the serial DFS would have
-      explored, and the removed twins are counted with the identical
-      ``comb`` arithmetic.
-    * flushes hand the *current* bound to the kernel's mid-sweep sieve,
-      which discards columns provably above it part-way through the
-      sweep.  The sieve only ever drops columns whose lower bound
-      exceeds a true candidate time (padded for rounding), so the
-      argmin and all its ties always survive to the final frontier.
+    * the admission limit is **fixed** at the best warm seed's time
+      times ``prune_slack`` instead of tightening per flush.  Every
+      candidate the evolving-limit search admits is admitted here too
+      (the set is a superset), so no optimum or tie can be lost; the
+      extra admitted columns cost one kernel lane each, not a
+      simulation.  The admitted set — hence ``evaluations`` — is
+      therefore independent of tile width, batch size and job count
+      (the limit reads the seeds, never the shared bound), and
+      admission is *path-independent*: whether a child size is
+      admitted depends only on ``(s, pos)``, so one ``(pos, size)``
+      grid per level replaces the DFS's per-node tests and the
+      recursion becomes :func:`_iter_lex_tiles`' vectorized
+      depth-first walk over bounded prefix batches, with the dominance
+      memo applied to its lexicographic prefix stream.
+    * each tile's winner is offered before the next tile is swept, so
+      ``state.bound`` (shared with the other workers when sharded)
+      tightens as the sweep goes, and every tile hands the current
+      bound to the kernel's mid-sweep sieve, which discards columns
+      provably above it part-way through the sweep.  The sieve only
+      ever drops columns whose lower bound exceeds a true candidate
+      time (padded for rounding), so the argmin and all its ties always
+      survive to the final frontier.  It is work saved, not admission:
+      ``evaluations`` still counts every admitted column.
     * ``sim_cache`` interplay: the kernel scores every admitted column
       regardless, so per-column cache peeks would buy nothing and cost
-      a Python loop.  Only each flush's *winner* is peeked (one lookup),
-      which keeps the "oracle harvests the planner's simulations"
-      accounting observable without reintroducing per-candidate work;
-      seed columns are excluded from ``evaluations`` exactly as the
-      incremental path's warm rows are.
+      a Python loop.  Only the sweep's overall winner is peeked (one
+      lookup), which keeps the "oracle harvests the planner's
+      simulations" accounting observable without reintroducing
+      per-candidate work; seed columns are excluded from
+      ``evaluations`` exactly as the incremental path's warm rows are.
+      Serially the best seed is itself admitted, so the sweep's winner
+      never exceeds it and always survives the sieve: the peeked
+      candidate does not depend on the tiling.
 
-    The last-stage level is never materialized as prefixes: a leaf
-    parent at ``pos`` contributes ``prefix x admitted_sizes(pos)``
-    columns, where the admitted-size list (and its gathered cost
-    values) is shared by every parent at the same ``pos``.
+    Memory is O(tile + batch * p) — the tile matrices, the kernel's
+    frontier scratch and one prefix batch per level — however many
+    candidates the bounds admit.
     """
     from repro.sim.analytic import frontier_times_transposed
 
@@ -1166,29 +1347,17 @@ def _search_analytic(
         return  # the single candidate is the Algorithm-1 seed itself.
 
     bounds = _Bounds(fwd, bwd, comm, p, m)
-    limit = state.bound * prune_slack
-    block = max(chunk_size, _ANALYTIC_BLOCK)
+    limit = min(warm.values()) * prune_slack
     inf = float("inf")
-
-    fwd_v = np.asarray(fwd, dtype=np.float64)
-    bwd_v = np.asarray(bwd, dtype=np.float64)
+    SF, SB = _fold_tables(fwd, bwd)
+    SS = SF + SB
     prefw_v = np.asarray(bounds.prefw)
     minmax_v = np.asarray(bounds.minmax)
     leaf_pad = np.asarray(bounds.leaf_lb + [inf])
     base_rt = bounds.base_rt
-    pos_col = np.arange(n)[:, None]
-    k_row = np.arange(n)[None, :]
-    src = pos_col + k_row
-    in_range = src < n
-    # Left-fold slice sums for every (pos, size - 1): ``cumsum`` runs
-    # the same sequential accumulation as the brute force's per-pos
-    # fold, so every entry is bitwise the candidate's stage cost.
-    SF = np.where(in_range, fwd_v[np.minimum(src, n - 1)], 0.0)
-    SB = np.where(in_range, bwd_v[np.minimum(src, n - 1)], 0.0)
-    np.cumsum(SF, axis=1, out=SF)
-    np.cumsum(SB, axis=1, out=SB)
-    SS = SF + SB
-    pos2_grid = np.minimum(src + 1, n)
+    pos2_grid = np.minimum(
+        np.arange(n)[:, None] + np.arange(n)[None, :] + 1, n
+    )
 
     def admitted_mask(s: int) -> np.ndarray:
         """``(pos, size - 1)`` admission grid at level ``s``.
@@ -1213,215 +1382,74 @@ def _search_analytic(
             np.maximum(remb, base_rt + (m - rem) * mm, out=remb)
         if rem == 1:
             np.maximum(remb, leaf_pad, out=remb)
-        valid = k_row < (n - pos_col - (p - s - 1))
-        return valid & (fixb <= limit) & (remb[pos2_grid] <= limit)
+        return _size_grid(n, p, s) & (fixb <= limit) \
+            & (remb[pos2_grid] <= limit)
 
-    def first_sizes_mask() -> np.ndarray:
-        return np.array(
-            [(k + 1) in first_sizes for k in range(n)], dtype=bool
-        )[None, :]
-
-    def expand(mask: np.ndarray, pos_arr: np.ndarray):
-        """Fan a lex-ordered prefix level out through an admission grid.
-
-        ``np.nonzero`` walks the grid row-major, so each pos's admitted
-        sizes come out ascending; parents are already lex-ordered and
-        ``repeat`` keeps them grouped, so the expansion lands in lex
-        order directly — no sort.  Returns ``None`` when every prefix
-        is exhausted, else ``(rep, til, gidx-free gathers)`` wrapped as
-        ``(rep, til)`` with ``rep`` the parent index per child and
-        ``til`` the child's admitted size index.
-        """
-        W = mask.sum(axis=1)
-        W_col = W[pos_arr]
-        total = int(W_col.sum())
-        if total == 0:
-            return None
-        OFF = np.concatenate(([0], np.cumsum(W)))
-        flat_k = np.nonzero(mask)[1]
-        rep = np.repeat(np.arange(pos_arr.size), W_col)
-        starts = np.cumsum(W_col) - W_col
-        r = np.arange(total) - starts[rep]
-        til = flat_k[OFF[pos_arr][rep] + r]
-        return rep, til, W, OFF, flat_k, W_col
-
+    masks = [admitted_mask(s) for s in range(p - 1)]
+    if first_sizes is not None:
+        masks[0] &= _first_sizes_mask(n, first_sizes)
+    # The memo can only fire when two cut prefixes produce identical
+    # per-stage sum tuples, which needs duplicate block costs.
     use_dominance = len(set(zip(fwd, bwd))) < n
-    if use_dominance:
-        # comb(a, b) lookup for the dominance counters (vectorized over
-        # the removed twins' positions).
-        comb_tab = np.array(
-            [[math.comb(a, b) if b <= a else 0 for b in range(p)]
-             for a in range(n)],
-            dtype=np.int64,
-        )
-        # Fixed mixing weights for the duplicate gate: equal prefixes
-        # hash equal bitwise, so a collision-free hash level provably
-        # has no twins and skips the exact row dedup outright.
-        hash_w = np.cos(np.arange(1, 2 * p + 1) * 12.9898) * 43758.5453
-
-    # Live prefixes of the current level, in lexicographic sizes order:
-    # block position, sizes rows and stage-major left-fold cost rows.
-    pos_arr = np.zeros(1, dtype=np.int64)
-    sizes_arr = np.zeros((0, 1), dtype=np.int64)
-    fs_arr = np.zeros((0, 1))
-    bs_arr = np.zeros((0, 1))
-
-    for lev in range(p - 2):
-        mask = admitted_mask(lev)
-        if lev == 0 and first_sizes is not None:
-            mask &= first_sizes_mask()
-        ex = expand(mask, pos_arr)
-        if ex is None:
-            return  # every subtree exceeds the seed bound: it stands.
-        rep, til = ex[0], ex[1]
-        total = rep.size
-        prow = pos_arr[rep]
-        new_sizes = np.empty((lev + 1, total), dtype=np.int64)
-        new_fs = np.empty((lev + 1, total))
-        new_bs = np.empty((lev + 1, total))
-        if lev:
-            new_sizes[:lev] = sizes_arr[:, rep]
-            new_fs[:lev] = fs_arr[:, rep]
-            new_bs[:lev] = bs_arr[:, rep]
-        new_sizes[lev] = til + 1
-        new_fs[lev] = SF[prow, til]
-        new_bs[lev] = SB[prow, til]
-        pos_arr = prow + til + 1
-        sizes_arr, fs_arr, bs_arr = new_sizes, new_fs, new_bs
-        if use_dominance and pos_arr.size > 1:
-            # The per-level dominance memo: twin prefixes share
-            # (pos, f_stages, b_stages), and every leaf below a twin
-            # only extends those stage times.  np.unique keeps the
-            # first occurrence — the lex-smallest twin, exactly the one
-            # the serial DFS explores — and the removed subtrees are
-            # counted with the DFS memo's comb arithmetic.
-            rows = lev + 1
-            h = (
-                pos_arr
-                + hash_w[:rows] @ fs_arr
-                + hash_w[p:p + rows] @ bs_arr
-            )
-            if np.unique(h).size < pos_arr.size:
-                key = np.ascontiguousarray(np.concatenate(
-                    [pos_arr[None, :].astype(np.float64), fs_arr, bs_arr]
-                ).T)
-                _, first_idx, counts = np.unique(
-                    key, axis=0, return_index=True, return_counts=True
-                )
-                if first_idx.size < pos_arr.size:
-                    dup = counts > 1
-                    state.dominance_pruned += int(np.sum(
-                        (counts[dup] - 1)
-                        * comb_tab[
-                            n - pos_arr[first_idx[dup]] - 1, p - lev - 2
-                        ]
-                    ))
-                    keep = np.sort(first_idx)
-                    pos_arr = pos_arr[keep]
-                    sizes_arr = sizes_arr[:, keep]
-                    fs_arr = fs_arr[:, keep]
-                    bs_arr = bs_arr[:, keep]
-
-    # -- leaf level: assemble every admitted candidate column ------------
-    mask = admitted_mask(p - 2)
-    if p == 2 and first_sizes is not None:
-        # Only with p == 2 is the leaf parent the top level: the shard
-        # restriction applies to the leaf cut itself.
-        mask &= first_sizes_mask()
-    ex = expand(mask, pos_arr)
-    if ex is None:
-        return
-    rep, til, W, OFF, flat_k, W_col = ex
-    total_cols = rep.size
-    prow = pos_arr[rep]
-    pos2 = prow + til + 1
-    # The last stage's size is forced by the second-to-last cut; its
-    # cost rows are the per-pos suffix totals.
-    q = np.arange(n)
-    suf_f = SF[q, n - q - 1]
-    suf_b = SB[q, n - q - 1]
-    fwd_mat = np.empty((p, total_cols))
-    bwd_mat = np.empty((p, total_cols))
-    if p > 2:
-        fwd_mat[:p - 2] = fs_arr[:, rep]
-        bwd_mat[:p - 2] = bs_arr[:, rep]
-    fwd_mat[p - 2] = SF[prow, til]
-    bwd_mat[p - 2] = SB[prow, til]
-    fwd_mat[p - 1] = suf_f[pos2]
-    bwd_mat[p - 1] = suf_b[pos2]
 
     # Seed columns ride the sweep too (the kernel reproduces their
-    # simulated time bitwise) but are not fresh evaluations; their
-    # prefixes are matched against the deduped level, so a seed whose
-    # twin subtree was dominance-pruned correctly counts as a fresh
-    # column under the surviving twin's sizes.
-    col_off = np.cumsum(W_col) - W_col
-    warm_cols: set = set()
-    for wseed in warm:
-        pw = sum(wseed[:p - 2])
-        if p == 2:
-            sel = np.flatnonzero(pos_arr == pw)
-        else:
-            sel = np.flatnonzero(
-                (pos_arr == pw)
-                & (sizes_arr == np.asarray(
-                    wseed[:p - 2], dtype=np.int64
-                )[:, None]).all(axis=0)
-            )
-        k = wseed[p - 2] - 1
-        for i in sel.tolist():
-            pv = int(pos_arr[i])
-            if 0 <= k < n and mask[pv, k]:
-                row = flat_k[OFF[pv]:OFF[pv] + W[pv]]
-                warm_cols.add(
-                    int(col_off[i]) + int(np.searchsorted(row, k))
-                )
-
+    # simulated time bitwise) but are not fresh evaluations.  A seed
+    # whose twin subtree was dominance-pruned is absent from the walk,
+    # so the surviving twin's column counts as fresh.  Tiles arrive in
+    # lexicographic order: a seed can only sit inside a tile whose
+    # first and last columns bracket it.
+    seeds = [
+        (seed, np.asarray(seed, dtype=np.int64)[:, None]) for seed in warm
+    ]
+    warm_seen = 0
+    leaf_best: Optional[Tuple[float, Tuple[int, ...]]] = None
     tel = _obs.current()
-    for c0 in range(0, total_cols, block):
-        c1 = min(c0 + block, total_cols)
+    for S, F, B in _iter_lex_tiles(
+        SF, SB, masks, chunk_size, state if use_dominance else None
+    ):
         t_f = tel.clock() if tel is not None else 0
-        cur = state.bound * prune_slack
-        # The mid-sweep sieve's per-checkpoint scan only pays for itself
-        # on wide blocks; narrow ones run the plain (exact) sweep.
+        cols = S.shape[1]
         times, keepmap = frontier_times_transposed(
-            fwd_mat[:, c0:c1], bwd_mat[:, c0:c1], comm, m,
-            comm_mode=comm_mode,
-            limit=cur if c1 - c0 >= _SIEVE_MIN_COLS else None,
+            F, B, comm, m, comm_mode=comm_mode,
+            limit=state.bound * prune_slack,
         )
-        evals = (c1 - c0) - sum(1 for w in warm_cols if c0 <= w < c1)
+        state.evaluations += cols
+        if seeds:
+            lo = tuple(S[:, 0].tolist())
+            hi = tuple(S[:, -1].tolist())
+            for seed, col in seeds:
+                if lo <= seed <= hi and (S == col).all(axis=0).any():
+                    warm_seen += 1
         if times.size:
             tmin = times.min()
             ties = np.flatnonzero(times == tmin)
-            cols = keepmap[ties] if keepmap is not None else ties
-            best: Optional[Tuple[int, ...]] = None
-            for c in (cols + c0).tolist():
-                i = int(rep[c])
-                sz = tuple(int(x) for x in sizes_arr[:, i]) + (
-                    int(til[c]) + 1,
-                    n - int(pos_arr[i]) - int(til[c]) - 1,
-                )
-                if best is None or sz < best:
-                    best = sz
-            # One peek per flush: enough to observe "the planner already
-            # simulated this winner" without a per-column Python loop
-            # (the kernel scored every column either way).
-            if sim_cache is not None and best not in warm:
-                cached = sim_cache.peek(
-                    StageTimes(*_stage_sums(fwd, bwd, best), comm),
-                    m, comm_mode,
-                )
-                if cached is not None:
-                    state.cache_hits += 1
-                    evals -= 1
-            state.offer(best, float(tmin))
-        state.evaluations += evals
+            if keepmap is not None:
+                ties = keepmap[ties]
+            if ties.size > 1:
+                # lexsort's primary key is its last row: stage 0.
+                ties = ties[np.lexsort(S[::-1, ties])]
+            best = tuple(S[:, ties[0]].tolist())
+            t_best = float(tmin)
+            if leaf_best is None or (t_best, best) < leaf_best:
+                leaf_best = (t_best, best)
+            state.offer(best, t_best)
         if tel is not None:
             tel.record_since(
-                "oracle.kernel_sweep", t_f,
-                cols=c1 - c0, kept=int(times.size),
+                "oracle.kernel_sweep", t_f, cols=cols, kept=int(times.size),
             )
         state.sync()
+    state.evaluations -= warm_seen
+    # One peek for the whole sweep: enough to observe "the planner
+    # already simulated this winner" without a per-column Python loop
+    # (the kernel scored every column either way).
+    if sim_cache is not None and leaf_best is not None \
+            and leaf_best[1] not in warm:
+        best = leaf_best[1]
+        if sim_cache.peek(
+            StageTimes(*_stage_sums(fwd, bwd, best), comm), m, comm_mode,
+        ) is not None:
+            state.cache_hits += 1
+            state.evaluations -= 1
 
 
 def _evaluate_seeds(
@@ -1516,7 +1544,12 @@ def exhaustive_partition(
     enough to amortise the planner's few dozen scalar simulations.
     ``sim_cache`` harvests
     vectors already simulated in-process (e.g. by the planner) and is
-    reported via ``cache_hits``.  ``prune_slack`` is the relative slack
+    reported via ``cache_hits``.  ``chunk_size`` is the kernel tile
+    width of the analytic search (candidate columns per frontier sweep,
+    default 4096), the robust oracle's scoring rows per pass
+    (candidates x draws), and the batch size of the lattice paths'
+    flushes; it never changes the returned partition or iteration
+    time, and on the analytic path not ``evaluations`` either.  ``prune_slack`` is the relative slack
     of the pruning test (default ``1 + 1e-9``): a subtree is discarded
     only when its lower bound exceeds ``incumbent * prune_slack``, so
     values ``> 1`` keep the search exact under float rounding, while
@@ -1537,12 +1570,15 @@ def exhaustive_partition(
 
     ``scorer`` selects the candidate evaluator for the default
     (``prune=True, incremental=True, robust=None``) path:
-    ``"analytic"`` (default) scores chunk flushes with the closed-form
-    max-plus frontier kernel (:mod:`repro.sim.analytic`) — the same
-    bound tables and dominance memo admit candidates, but one stage-major
-    ``(p, K)`` sweep replaces the per-row suffix relaxations, and the
-    kernel's mid-sweep sieve discards columns provably above the
-    incumbent part-way through.  ``"lattice"`` keeps the
+    ``"analytic"`` (default) scores admitted candidates with the
+    closed-form max-plus frontier kernel (:mod:`repro.sim.analytic`) —
+    the same bound tables and dominance memo admit candidates, but one
+    stage-major ``(p, chunk_size)`` tile sweep replaces the per-row
+    suffix relaxations, and the kernel's mid-sweep sieve discards
+    columns provably above the incumbent part-way through.  Candidates
+    stream through the kernel tile by tile from bounded prefix batches,
+    so the search's memory is O(tile + batch * p), independent of how
+    many candidates the bounds admit.  ``"lattice"`` keeps the
     prefix-checkpointed :class:`SuffixSimBatch` path.  Both return the
     bit-identical partition and iteration time (the kernel is
     property-tested bitwise against the lattice executors); the knob is

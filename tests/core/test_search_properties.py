@@ -10,13 +10,16 @@ Two equivalences the perf work must never break:
   on tie-heavy profiles where many partitions share the optimum.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.core.analytic_sim import PipelineSim, PipelineSimBatch
-from repro.core.exhaustive import exhaustive_partition
+from repro.core import exhaustive
+from repro.core.exhaustive import exhaustive_partition, iter_partitions
 from repro.core.partition import StageTimes
 from repro.models.blocks import Block, BlockKind
 from repro.profiling.modelconfig import BlockProfile, ModelProfile
@@ -28,6 +31,9 @@ _TRAIN = TrainConfig(micro_batch_size=1, global_batch_size=8)
 #: discrete time values — draws collide constantly, so random profiles are
 #: saturated with exact ties (the argmin tie-break's worst case).
 _TIE_HEAVY = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+#: zero-cost blocks: different cut prefixes reach identical per-stage
+#: sums, so the dominance memo has twins to prune.
+_ZERO_HEAVY = st.sampled_from([0.0, 0.0, 1.0, 2.0])
 _CONTINUOUS = st.floats(min_value=0.01, max_value=5.0, allow_nan=False)
 
 
@@ -131,13 +137,67 @@ class TestPrunedMatchesBruteForce:
     @settings(max_examples=20, deadline=None)
     @given(st.data())
     def test_small_chunks_change_nothing(self, data):
-        """Chunked flushing must not affect the argmin (order independence)."""
-        n = data.draw(st.integers(min_value=5, max_value=8))
-        p = data.draw(st.integers(min_value=2, max_value=4))
-        fwd = [data.draw(_TIE_HEAVY) for _ in range(n)]
-        bwd = [data.draw(_TIE_HEAVY) for _ in range(n)]
+        """Tile width and prefix batch size are pure tuning.
+
+        The analytic oracle streams admitted candidates through the
+        kernel in ``chunk_size``-column tiles, expanded from prefix
+        batches of ``_PREFIX_BATCH``; its admission limit is fixed by the
+        warm seeds, so the result *and* the counters must not move.
+        Width 1 and 7 put equal-time columns in different tiles, so the
+        tie-break runs across tile boundaries; zero-cost blocks make the
+        dominance memo fire across prefix batches.
+        """
+        n = data.draw(st.integers(min_value=5, max_value=9))
+        p = data.draw(st.integers(min_value=2, max_value=5))
+        m = data.draw(st.integers(min_value=1, max_value=8))
+        comm_mode = data.draw(st.sampled_from(["paper", "edges"]))
+        value = _TIE_HEAVY if data.draw(st.booleans()) else _ZERO_HEAVY
+        fwd = [data.draw(value) for _ in range(n)]
+        bwd = [data.draw(value) for _ in range(n)]
         profile = make_profile(fwd, bwd, 0.25)
-        big = exhaustive_partition(profile, p, 4, chunk_size=1024)
-        tiny = exhaustive_partition(profile, p, 4, chunk_size=1)
-        assert tiny.partition.sizes == big.partition.sizes
-        assert tiny.iteration_time == big.iteration_time
+        p = min(p, n)
+        runs = []
+        for batch in (1, exhaustive._PREFIX_BATCH):
+            with mock.patch.object(exhaustive, "_PREFIX_BATCH", batch):
+                for width in (1, 7, exhaustive._DEFAULT_CHUNK):
+                    runs.append(exhaustive_partition(
+                        profile, p, m, comm_mode=comm_mode, chunk_size=width
+                    ))
+        ref = runs[-1]
+        for res in runs:
+            assert res.partition.sizes == ref.partition.sizes
+            assert res.iteration_time == ref.iteration_time  # bitwise
+            assert res.evaluations == ref.evaluations
+            assert res.dominance_pruned == ref.dominance_pruned
+        brute = exhaustive_partition(
+            profile, p, m, comm_mode=comm_mode, prune=False
+        )
+        assert ref.partition.sizes == brute.partition.sizes
+        assert ref.iteration_time == brute.iteration_time
+        parallel = exhaustive_partition(
+            profile, p, m, comm_mode=comm_mode, chunk_size=7, jobs=2
+        )
+        assert parallel.partition.sizes == ref.partition.sizes
+        assert parallel.iteration_time == ref.iteration_time
+
+    def test_tie_break_across_tile_boundaries(self):
+        """Uniform blocks: many partitions tie for the optimum, and
+        one-column tiles put every tied candidate in its own tile."""
+        profile = make_profile([1.0] * 9, [2.0] * 9, 0.25)
+        p, m = 4, 2
+        times = {
+            sizes: PipelineSim(
+                StageTimes(
+                    tuple(1.0 * k for k in sizes),
+                    tuple(2.0 * k for k in sizes), 0.25,
+                ), m,
+            ).run().iteration_time
+            for sizes in iter_partitions(9, p)
+        }
+        best = min(times.values())
+        tied = sorted(s for s, t in times.items() if t == best)
+        assert len(tied) > 1
+        for width in (1, 2, exhaustive._DEFAULT_CHUNK):
+            res = exhaustive_partition(profile, p, m, chunk_size=width)
+            assert res.partition.sizes == tied[0]
+            assert res.iteration_time == best

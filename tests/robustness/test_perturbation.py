@@ -216,11 +216,10 @@ class TestRobustSearch:
     OBJECTIVE = RobustObjective((StageCostNoise(0.15),), draws=32, seed=7)
 
     def test_oracle_matches_brute_reference(self, tiny_profile):
-        """The robust oracle returns the literal argmin of the objective."""
+        """The robust oracle returns the literal argmin of the objective,
+        at any tile width (1 and 3 candidates per tile split the
+        enumeration at every possible boundary)."""
         depth, m = 3, 6
-        result = exhaustive_partition(
-            tiny_profile, depth, m, robust=self.OBJECTIVE
-        )
         factors = self.OBJECTIVE.factors(depth)
         best = min(
             _all_partitions(tiny_profile.num_blocks, depth),
@@ -229,15 +228,21 @@ class TestRobustSearch:
                 self.OBJECTIVE.statistic,
             ),
         )
-        assert result.partition.sizes == best.sizes
-        assert result.robust_value == robust_objective_value(
-            stage_times(best, tiny_profile), m, factors,
-            self.OBJECTIVE.statistic,
-        )
-        # The reported sim is the winner's *nominal* simulation.
-        assert result.iteration_time == PipelineSim(
-            stage_times(best, tiny_profile), m
-        ).run().iteration_time
+        for chunk_size in (32, 96, 4096):
+            result = exhaustive_partition(
+                tiny_profile, depth, m, robust=self.OBJECTIVE,
+                chunk_size=chunk_size,
+            )
+            assert result.partition.sizes == best.sizes
+            assert result.robust_value == robust_objective_value(
+                stage_times(best, tiny_profile), m, factors,
+                self.OBJECTIVE.statistic,
+            )
+            assert result.evaluations == result.space
+            # The reported sim is the winner's *nominal* simulation.
+            assert result.iteration_time == PipelineSim(
+                stage_times(best, tiny_profile), m
+            ).run().iteration_time
 
     def test_planner_robust_value_is_winners_objective(self, tiny_profile):
         result = plan_partition(tiny_profile, 3, 6, robust=self.OBJECTIVE)
