@@ -8,6 +8,11 @@ Writes the ``analytic`` section of ``BENCH_search.json``:
   engine.  The kernel reads only the ``(K, depth)`` stage-cost matrix,
   so its cost is independent of the per-op count that both executors
   walk.
+* ``kernel_modes`` — one ``K=36``, ``m=512`` sweep (a DAPPLE stage-count
+  group's shape) at depths 3, 4, 7, 8 and 16 in both comm modes, with
+  the fused middle phase against the per-step halves it replaces (the
+  per-step column forces ``_fused_window`` off; it is the only path
+  edges mode and odd depths had before the fused phase covered them).
 * ``oracle`` — the depth-8/10 exact oracle end to end with the
   analytic scorer (the default) vs the lattice ``PipelineSimBatch``
   scorer vs the pre-incremental per-node path, identical argmin
@@ -21,7 +26,8 @@ blocks).  The gpt2-345m depth-16 search (~20M admitted candidates,
 minutes of CPU) runs only with ``REPRO_BENCH_ORACLE16=1``; otherwise
 the row already in ``BENCH_search.json`` is kept.
 
-Guards, per the issue's acceptance criteria (depth-8 row):
+Guards: the fused phase must beat the per-step halves by >= 1.5x on
+every ``kernel_modes`` row, and on the depth-8 oracle row:
 
 * >= 10x vs the **per-node** oracle baseline (the ``per_node_seconds``
   row the incremental bench records — the pre-incremental path);
@@ -61,6 +67,7 @@ from repro.hardware.cluster import Cluster
 from repro.hardware.device import DEFAULT_CLUSTER_HW
 from repro.profiling import profile_model
 from repro.runtime.trainer import build_schedule
+from repro.sim import analytic
 from repro.sim.analytic import frontier_times
 from repro.sim.engine import Engine
 from repro.sim.graph_exec import compile_graph
@@ -138,6 +145,48 @@ def run_kernel_vs_executors():
             "compiled_over_kernel_batched": t_compiled / t_batch,
             "event_over_kernel_batched": t_event / t_batch,
         })
+    return result, rows_json
+
+
+KERNEL_MODE_DEPTHS = (3, 4, 7, 8, 16)
+_MODES_K = 36
+_MODES_M = 512
+
+
+def run_kernel_modes():
+    result = ExperimentResult(
+        name=f"Frontier kernel: fused middle phase vs per-step halves "
+             f"(K={_MODES_K}, m={_MODES_M})",
+        headers=["depth", "mode", "fused (ms)", "per-step (ms)", "speedup"],
+    )
+    rows_json = []
+    rng = np.random.default_rng(0)
+    fused_window = analytic._fused_window
+    for depth in KERNEL_MODE_DEPTHS:
+        fwd = rng.uniform(0.3, 4.0, size=(_MODES_K, depth))
+        bwd = rng.uniform(0.5, 6.0, size=(_MODES_K, depth))
+        for mode in ("paper", "edges"):
+            def sweep():
+                return frontier_times(fwd, bwd, 0.1, _MODES_M, comm_mode=mode)
+
+            t_fused = _best_of(sweep, 9)
+            expect = sweep()
+            analytic._fused_window = lambda n, m: None
+            try:
+                t_step = _best_of(sweep, 9)
+                assert np.array_equal(sweep(), expect)
+            finally:
+                analytic._fused_window = fused_window
+            result.rows.append([
+                depth, mode, f"{t_fused * 1e3:.2f}", f"{t_step * 1e3:.2f}",
+                f"{t_step / t_fused:.1f}x",
+            ])
+            rows_json.append({
+                "depth": depth, "comm_mode": mode, "k": _MODES_K,
+                "micro_batches": _MODES_M, "fused_seconds": t_fused,
+                "per_step_seconds": t_step,
+                "speedup": t_step / t_fused,
+            })
     return result, rows_json
 
 
@@ -310,14 +359,20 @@ def run_oracle_memory(deep: bool = False) -> dict:
 
 def run_analytic_bench():
     kernel_result, kernel_rows = run_kernel_vs_executors()
+    modes_result, modes_rows = run_kernel_modes()
     oracle_result, oracle_rows = run_oracle_end_to_end()
-    merge_into_search_results(
-        "analytic", {"kernel": kernel_rows, "oracle": oracle_rows})
+    merge_into_search_results("analytic", {
+        "kernel": kernel_rows, "kernel_modes": modes_rows,
+        "oracle": oracle_rows,
+    })
     combined = ExperimentResult(
         name=kernel_result.name, headers=kernel_result.headers,
         rows=kernel_result.rows,
-        meta={"oracle_rows": oracle_result.rows},
+        meta={"oracle_rows": oracle_result.rows,
+              "mode_rows": modes_result.rows},
     )
+    print()
+    print(modes_result.render())
     print()
     print(oracle_result.render())
     return combined
@@ -337,6 +392,10 @@ def test_bench_analytic(benchmark):
     # wide margin at every depth (measured 60-260x; floor at 20x).
     for row in result.rows:
         assert float(row[-2].rstrip("x")) >= 20.0
+    # The fused middle phase beats the per-step halves in both comm
+    # modes at every depth (measured 2-5x; floor at 1.5x).
+    for row in result.meta["mode_rows"]:
+        assert float(row[-1].rstrip("x")) >= 1.5, row
 
 
 def test_bench_oracle_memory():

@@ -32,17 +32,18 @@ obvious" (paper Fig. 12).
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.baselines.common import PlannedConfig
-from repro.core.planner import default_sim_cache
-from repro.core.partition import PartitionScheme, StageTimes
+from repro.core.partition import PartitionScheme
 from repro.models.costs import STASH_FACTOR
 from repro.models.transformer import layer_groups
 from repro.parallel.data_parallel import allreduce_seconds
 from repro.profiling.modelconfig import ModelProfile
+from repro.sim.analytic import frontier_times
 
 _INF = float("inf")
 
@@ -229,28 +230,61 @@ def _fill_vector(t_pre, p_pre, act_pre, ws_pre, L, G, m, max_stages, capacity):
     return suffix, choice
 
 
-def plan_dapple(
+class DappleCandidate(NamedTuple):
+    """One candidate plan that survives DAPPLE's prune and placement check.
+
+    ``sizes`` counts layer units per stage; ``fwd`` / ``bwd`` are the
+    stage periods under the planner's optimistic linear ``t / r``
+    replication scaling, and ``unhidden`` is the first stage's budgeted
+    allreduce (the only one not hidden in cooldown slack).
+    """
+
+    sizes: Tuple[int, ...]
+    replicas: Tuple[int, ...]
+    fwd: Tuple[float, ...]
+    bwd: Tuple[float, ...]
+    unhidden: float
+
+    def partition(self, profile: ModelProfile) -> PartitionScheme:
+        """The candidate's block-level partition of ``profile``."""
+        units = _layer_units(profile)
+        stages: List[Tuple[int, ...]] = []
+        pos = 0
+        for size in self.sizes:
+            stages.append(
+                tuple(b for unit in units[pos:pos + size] for b in unit)
+            )
+            pos += size
+        return PartitionScheme(tuple(stages))
+
+
+def _micro_batches(profile: ModelProfile, global_batch_size: int) -> int:
+    mbs = profile.train.micro_batch_size
+    if global_batch_size % mbs != 0:
+        raise ValueError("global batch not divisible by micro-batch size")
+    return global_batch_size // mbs
+
+
+def dapple_candidates(
     profile: ModelProfile,
     num_gpus: int,
     global_batch_size: int,
     *,
     impl: str = "vector",
-) -> PlannedConfig:
-    """Run the DAPPLE planner and return its chosen configuration.
+) -> Iterator[DappleCandidate]:
+    """DAPPLE's candidate plans, in enumeration order.
 
-    ``impl`` selects the suffix-DP table fill: ``"vector"`` (default)
-    uses broadcast numpy relaxations, ``"scalar"`` the original loops.
-    Both produce bit-identical tables and therefore identical plans.
+    Walks ``(s, k1, r1)`` (stage count, first-stage layer units, first-
+    stage replicas) and completes each with the suffix DP's choices.  A
+    candidate is yielded when it passes the head-stage memory check, the
+    ``1.5 * best_bound`` analytic prune and the device-placement check.
+    ``best_bound`` only ever reads the analytic bound, so the yielded set
+    never depends on how candidates are scored.  Stage counts arrive in
+    ascending order, each as one contiguous run.
     """
     if impl not in _IMPLS:
         raise ValueError(f"impl must be one of {_IMPLS}, got {impl!r}")
-    t0 = _time.perf_counter()
-    sim_cache = default_sim_cache()
-    mbs = profile.train.micro_batch_size
-    if global_batch_size % mbs != 0:
-        raise ValueError("global batch not divisible by micro-batch size")
-    m = global_batch_size // mbs
-
+    m = _micro_batches(profile, global_batch_size)
     units = _layer_units(profile)
     L = len(units)
     G = num_gpus
@@ -259,6 +293,7 @@ def plan_dapple(
 
     # Prefix tables over layer units (plain Python lists, see docstring).
     t_pre = [0.0]
+    fwd_pre = [0.0]
     p_pre = [0.0]
     act_pre = [0.0]
     ws_pre = [0.0]
@@ -266,6 +301,9 @@ def plan_dapple(
         t_pre.append(t_pre[-1] + sum(
             profile.blocks[i].fwd_time + profile.blocks[i].bwd_time for i in u
         ))
+        fwd_pre.append(
+            fwd_pre[-1] + sum(profile.blocks[i].fwd_time for i in u)
+        )
         p_pre.append(p_pre[-1] + sum(profile.blocks[i].params for i in u))
         act_pre.append(act_pre[-1] + sum(
             profile.blocks[i].stash_bytes for i in u
@@ -302,7 +340,9 @@ def plan_dapple(
         t_pre, p_pre, act_pre, ws_pre, L, G, m, max_stages, capacity
     )
 
-    def reconstruct(s: int, k1: int, r1: int) -> Tuple[List[int], List[int]]:
+    def reconstruct(
+        s: int, k1: int, r1: int, unhidden: float
+    ) -> DappleCandidate:
         sizes = [k1]
         replicas = [r1]
         l, g = k1, G - r1
@@ -313,22 +353,6 @@ def plan_dapple(
             l, g = k, g - r
         sizes.append(L - l)
         replicas.append(g)
-        return sizes, replicas
-
-    fwd_pre = [0.0]
-    for u in units:
-        fwd_pre.append(
-            fwd_pre[-1] + sum(profile.blocks[i].fwd_time for i in u)
-        )
-
-    def simulate(sizes: List[int], replicas: List[int]) -> float:
-        """DAPPLE's lightweight pipeline simulation of one candidate plan.
-
-        The original planner scores candidates with a built-in simulator
-        rather than a closed form; this per-candidate simulation is the
-        bulk of its search time (paper Fig. 12).  Stage periods use the
-        planner's optimistic linear t/r scaling.
-        """
         fwd = []
         bwd = []
         pos = 0
@@ -338,16 +362,11 @@ def plan_dapple(
             fwd.append(f / r)
             bwd.append((t - f) / r)
             pos += size
-        times = StageTimes(tuple(fwd), tuple(bwd), profile.comm_time)
-        # Candidate scoring dominates DAPPLE's search time; identical
-        # stage-time vectors recur across candidates and sweep cells, so
-        # score through the shared simulator memo.
-        return sim_cache.simulate(times, m, "edges").iteration_time
+        return DappleCandidate(
+            tuple(sizes), tuple(replicas), tuple(fwd), tuple(bwd), unhidden
+        )
 
-    best_cost = _INF
     best_bound = _INF
-    best_sizes: Optional[List[int]] = None
-    best_replicas: Optional[List[int]] = None
     # DAPPLE is a pipeline planner: the degenerate single-stage (pure data
     # parallel) configuration is its comparison baseline, not a plan it
     # emits — the paper's Table III shows it pipelining even when pure DP
@@ -380,50 +399,78 @@ def plan_dapple(
                     unhidden = 2.0 * allreduce_seconds(p_pre[k1], r1, hw)
                     allreduce_cache[(k1, r1)] = unhidden
                 # Analytical lower bound prunes hopeless candidates before
-                # reconstruction, placement and the (expensive)
-                # simulation; neither pruned nor placement-rejected
-                # candidates touch the incumbents, so checking the bound
-                # first is a pure reordering.
+                # reconstruction, placement and simulation; neither pruned
+                # nor placement-rejected candidates touch the bound, so
+                # checking it first is a pure reordering.
                 bound = (m - 1) * p + unhidden
                 if bound > 1.5 * best_bound:
                     continue
                 # DAPPLE validates device placement per candidate plan;
                 # the verdict only depends on the replica vector, which
                 # recurs heavily across (s, k1, r1) candidates.
-                sizes, replicas = reconstruct(s, k1, r1)
-                key = tuple(replicas)
-                ok = placement_cache.get(key)
+                cand = reconstruct(s, k1, r1, unhidden)
+                ok = placement_cache.get(cand.replicas)
                 if ok is None:
                     ok = _placement_ok(
-                        replicas, hw.gpus_per_node, hw.num_nodes
+                        cand.replicas, hw.gpus_per_node, hw.num_nodes
                     )
-                    placement_cache[key] = ok
+                    placement_cache[cand.replicas] = ok
                 if not ok:
                     continue
                 best_bound = min(best_bound, bound)
-                cost = simulate(sizes, replicas) + unhidden
-                if cost < best_cost:
-                    best_cost = cost
-                    best_sizes, best_replicas = sizes, replicas
+                yield cand
 
-    if best_sizes is None or best_replicas is None:
+
+def plan_dapple(
+    profile: ModelProfile,
+    num_gpus: int,
+    global_batch_size: int,
+    *,
+    impl: str = "vector",
+) -> PlannedConfig:
+    """Run the DAPPLE planner and return its chosen configuration.
+
+    ``impl`` selects the suffix-DP table fill: ``"vector"`` (default)
+    uses broadcast numpy relaxations, ``"scalar"`` the original loops.
+    Both produce bit-identical tables and therefore identical plans.
+
+    DAPPLE scores every candidate with a pipeline simulation rather than
+    a closed form (paper Fig. 12).  Here each stage count's candidates
+    are scored by one max-plus kernel sweep (edges comm mode), bitwise
+    equal to one :class:`~repro.core.analytic_sim.PipelineSim` per
+    candidate; the plan is the first strict minimum of simulated time
+    plus unhidden allreduce, in enumeration order.
+    """
+    t0 = _time.perf_counter()
+    m = _micro_batches(profile, global_batch_size)
+    best_cost = _INF
+    best: Optional[DappleCandidate] = None
+    candidates = dapple_candidates(
+        profile, num_gpus, global_batch_size, impl=impl
+    )
+    # One sweep per stage count: padding shallower candidates into a
+    # deeper sweep would still charge comm on the padded stages.
+    for _, group in groupby(candidates, key=lambda c: len(c.sizes)):
+        cands = list(group)
+        fwd = np.array([c.fwd for c in cands])
+        bwd = np.array([c.bwd for c in cands])
+        times = frontier_times(fwd, bwd, profile.comm_time, m,
+                               comm_mode="edges")
+        costs = times + np.array([c.unhidden for c in cands])
+        i = int(np.argmin(costs))
+        if costs[i] < best_cost:
+            best_cost = float(costs[i])
+            best = cands[i]
+
+    if best is None:
         raise RuntimeError("DAPPLE planner found no feasible plan")
-    sizes, replicas = best_sizes, best_replicas
-    stages: List[Tuple[int, ...]] = []
-    pos = 0
-    for size in sizes:
-        blocks: List[int] = []
-        for u in units[pos:pos + size]:
-            blocks.extend(u)
-        stages.append(tuple(blocks))
-        pos += size
     return PlannedConfig(
         planner="dapple",
-        partition=PartitionScheme(tuple(stages)),
-        replicas=tuple(replicas),
-        num_gpus=G,
+        partition=best.partition(profile),
+        replicas=best.replicas,
+        num_gpus=num_gpus,
         search_seconds=_time.perf_counter() - t0,
         predicted=best_cost,
         semantics="subbatch",
-        notes=f"{len(sizes)}-stage, replicas={replicas}",
+        notes=f"{len(best.sizes)}-stage, replicas={list(best.replicas)}",
     )

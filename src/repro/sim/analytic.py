@@ -58,6 +58,7 @@ schedule / question                   evaluator
 plain 1F1B iteration + startup        :func:`frontier_times` (this module)
 oracle candidate frontier (K at once) :func:`frontier_times_transposed`
 robust draws, ``(K,)`` comm vectors   :func:`frontier_times` (vector comm)
+DAPPLE candidates, per stage count    :func:`frontier_times` (edges mode)
 per-stage busy / bubble / memory      :func:`stage_busy_times` /
                                       :func:`bubble_fractions` /
                                       :func:`peak_inflight_memory`
@@ -215,6 +216,21 @@ def frontier_times_transposed(
     return times, keep
 
 
+def _fused_window(n: int, m: int) -> Optional[Tuple[int, int]]:
+    """Steady steps ``(lo, hi)`` bounding the fused middle phase.
+
+    The phase starts at the first even step ``>= n`` (every steady
+    diagonal full, the fix rows passed) and may run F-halves up to step
+    ``hi = 2 * m - n - 1``, the last full diagonal.  ``None`` when no
+    fused iteration fits.
+    """
+    lo = n + (n & 1)
+    hi = 2 * m - n - 1
+    if n < 2 or lo + 2 > hi:
+        return None
+    return lo, hi
+
+
 def _sweep(
     fwd: np.ndarray,
     bwd: np.ndarray,
@@ -280,15 +296,17 @@ def _sweep(
             (m - done_b).astype(np.float64)[:, None],
         )
 
-    def sieve(step: int) -> None:
+    def sieve(step_f: int, step_b: int) -> None:
         """Drop columns whose lower bound exceeds the limit.
 
-        ``step`` is the last completed steady step (``-1`` right after
-        warmup).  For each stage the number of finished steady pairs is
-        closed-form, so "remaining work" needs no simulation state.
+        ``step_f`` / ``step_b`` are the last completed steady steps of
+        the forward and backward halves (``-1`` right after warmup; the
+        fused middle phase leaves F one half-step ahead).  For each stage
+        the number of finished steady pairs is closed-form, so
+        "remaining work" needs no simulation state.
         """
         nonlocal F, B, tF, tB, fwd, bwd, drain, keep, comm
-        rem_f, rem_b = _rem_counts(step, step)
+        rem_f, rem_b = _rem_counts(step_f, step_b)
         lb = np.maximum(F[1:], B[:n])
         lb += rem_f * fwd
         lb += rem_b * bwd
@@ -328,7 +346,7 @@ def _sweep(
         np.add(t, fwd[lo:u + 1], out=F[lo + 1:u + 2])
 
     if limit is not None:
-        sieve(-1)
+        sieve(-1, -1)
         checkpoints = set()
         for q in (n + 1, n + 7, (2 * m - 2) // 2, 3 * (2 * m - 2) // 4):
             if 0 < q < 2 * m - 2:
@@ -407,141 +425,127 @@ def _sweep(
             np.maximum(b, F[X1], out=b)
         np.add(b, bwd[X], out=B[X])
 
-    # The fused middle phase (paper mode, even ``n``): once every steady
-    # diagonal is full (``dmax == n - 1``) and past the fix rows, the
-    # B-half of step ``t`` and the F-half of step ``t + 1`` read the max
-    # frontier ``max(F[r], B[r])`` over the SAME row parity — as do the
-    # F-half of ``t + 2`` and the B-half of ``t + 1`` on the other
-    # parity.  Interleaving the halves (each pair's reads are disjoint
-    # from its partner's writes, so the dataflow is unchanged) lets one
-    # ``np.maximum`` and one shared ``+ comm`` serve two half-steps, on
-    # parity-split contiguous arrays.  Every element still flows through
-    # the identical ``max -> (+ comm) -> + cost`` expression, so the
-    # fused phase is bit-identical to the per-step halves it replaces.
-    fuse_lo = n if n > fix_lim + 1 else fix_lim + 1
-    fuse_lo += fuse_lo & 1
-    fuse_hi = 2 * m - n - 1
-    use_fused = paper and n >= 4 and n % 2 == 0 and fuse_lo + 2 <= fuse_hi
+    # The fused middle phase.  Once every steady diagonal is full
+    # (``dmax == n - 1``) and past the fix rows, row ``r``'s frontier
+    # pair ``(F[r], B[r])`` feeds exactly two half-steps: stage ``r``'s
+    # forward and stage ``r - 1``'s backward.  For even ``t``, the B-half
+    # of step ``t`` and the F-half of step ``t + 1`` read the rows of
+    # parity ``n`` ("P", which holds pad row ``n``); the F-half of
+    # ``t + 2`` and the B-half of ``t + 1`` read the other parity ("Q");
+    # each pass writes only the parity it does not read.  Interleaving
+    # the halves so leaves the dataflow unchanged and runs two
+    # half-steps per pass over parity-split contiguous arrays.  Paper
+    # mode shares one ``max(F, B) + comm`` between the two halves and
+    # adds no comm on the pad rows, row 0 (no forward cross predecessor)
+    # and row ``n`` (no backward one); edges mode needs
+    # ``max(F + comm, B)`` for the F-half and ``max(B + comm, F)`` for
+    # the B-half.  Every element still flows through the per-step
+    # expression, so the fused phase is bit-identical to the halves it
+    # replaces.
+    window = _fused_window(n, m)
 
-    if not use_fused:
+    def fused(count: int) -> None:
+        """Run ``count`` fused iterations from the merged ``F`` / ``B``.
+
+        Entry state: F-halves through some even step ``t``, B-halves
+        through ``t - 1``; exit state: the same, ``2 * count`` steps on.
+        """
+        p0 = n & 1          # parity of pad row n (pad row 0 is even)
+        q0 = 1 - p0
+        # XS[0] / XS[1] = the F / B rows of parity S, stacked so edges
+        # mode forms both arrival terms with one add and one max.
+        XP = np.stack((F[p0::2], B[p0::2]))
+        XQ = np.stack((F[q0::2], B[q0::2]))
+        (FP, BP), (FQ, BQ) = XP, XQ
+        hp, hq = FP.shape[0], FQ.shape[0]
+        fwd_p = np.ascontiguousarray(fwd[p0::2])
+        bwd_p = np.ascontiguousarray(bwd[p0::2])
+        fwd_q = np.ascontiguousarray(fwd[q0::2])
+        bwd_q = np.ascontiguousarray(bwd[q0::2])
+        # Source rows and destination views of both passes: the P -> Q
+        # pass ("a"), then the Q -> P pass ("b").
+        fa_src, fa_dst = slice(0, hp - 1), FQ[p0:p0 + hp - 1]
+        ba_src, ba_dst = slice(1 - p0, hp), BQ
+        fb_src, fb_dst = slice(0, hq), FP[q0:q0 + hq]
+        bb_src, bb_dst = slice(1 - q0, hq), BP[:hp - 1]
+        if paper:
+            MP = np.empty_like(FP)
+            MQ = np.empty_like(FQ)
+            mp_comm, mq_comm = MP[1 - p0:hp - 1], MQ[1 - q0:]
+            mp_f, mp_b, mq_b = MP[fa_src], MP[ba_src], MQ[bb_src]
+            for _ in range(count):
+                np.maximum(FP, BP, out=MP)
+                np.add(mp_comm, comm, out=mp_comm)
+                np.add(mp_f, fwd_p, out=fa_dst)
+                np.add(mp_b, bwd_q, out=ba_dst)
+                np.maximum(FQ, BQ, out=MQ)
+                np.add(mq_comm, comm, out=mq_comm)
+                np.add(MQ, fwd_q, out=fb_dst)
+                np.add(mq_b, bwd_p, out=bb_dst)
+        else:
+            # CS[0] = max(F + comm, B) feeds forwards, CS[1] =
+            # max(B + comm, F) backwards.  The pads need no zeroed
+            # arrival here: their arrival term is ``0.0 + comm``, and in
+            # the full phase the value it is compared with -- B[0] for
+            # stage 0's forward, F[n] for stage n-1's backward -- already
+            # includes a comm hop on non-negative times, so the max
+            # returns that value either way.
+            CP = np.empty_like(XP)
+            CQ = np.empty_like(XQ)
+            XP_swap, XQ_swap = XP[::-1], XQ[::-1]
+            cp_f, cp_b = CP[0, fa_src], CP[1, ba_src]
+            cq_f, cq_b = CQ[0, fb_src], CQ[1, bb_src]
+            for _ in range(count):
+                np.add(XP, comm, out=CP)
+                np.maximum(CP, XP_swap, out=CP)
+                np.add(cp_f, fwd_p, out=fa_dst)
+                np.add(cp_b, bwd_q, out=ba_dst)
+                np.add(XQ, comm, out=CQ)
+                np.maximum(CQ, XQ_swap, out=CQ)
+                np.add(cq_f, fwd_q, out=fb_dst)
+                np.add(cq_b, bwd_p, out=bb_dst)
+        F[p0::2] = FP
+        F[q0::2] = FQ
+        B[p0::2] = BP
+        B[q0::2] = BQ
+
+    if window is None:
         for step in range(2 * m - 1):
             f_part(step)
             b_part(step)
             if step in checkpoints:
-                sieve(step)
+                sieve(step, step)
     else:
+        fuse_lo, fuse_hi = window
         for step in range(fuse_lo):
             f_part(step)
             b_part(step)
             if step in checkpoints:
-                sieve(step)
+                sieve(step, step)
         f_part(fuse_lo)
-        h = n // 2
-        Fe = np.ascontiguousarray(F[0::2])   # rows 0, 2, .., n
-        Fo = np.ascontiguousarray(F[1::2])   # rows 1, 3, .., n - 1
-        Be = np.ascontiguousarray(B[0::2])
-        Bo = np.ascontiguousarray(B[1::2])
-        fwd_e = np.ascontiguousarray(fwd[0::2])   # stages 0, 2, .., n - 2
-        fwd_o = np.ascontiguousarray(fwd[1::2])   # stages 1, 3, .., n - 1
-        bwd_e = np.ascontiguousarray(bwd[0::2])
-        bwd_o = np.ascontiguousarray(bwd[1::2])
-        if limit is not None:
-            drain_e = np.ascontiguousarray(drain[0::2])
-            drain_o = np.ascontiguousarray(drain[1::2])
-            cps = sorted(c for c in checkpoints if c >= fuse_lo)
-        else:
-            drain_e = drain_o = None
-            cps = []
-        k_now = Fe.shape[1]
-        Me = np.empty((h + 1, k_now))
-        Mo = np.empty((h, k_now))
-        tmid = np.empty((h - 1, k_now))
-
-        def sieve_fused(t: int) -> None:
-            """The sieve on the split state: F through ``t``, B ``t-1``."""
-            nonlocal Fe, Fo, Be, Bo, fwd_e, fwd_o, bwd_e, bwd_o
-            nonlocal drain_e, drain_o, keep, comm, Me, Mo, tmid, k_now
-            rem_f, rem_b = _rem_counts(t, t - 1)
-            # Even stages read (F odd rows, B even rows) and vice versa.
-            lb = np.maximum(Fo, Be[:h])
-            lb += rem_f[0::2] * fwd_e
-            lb += rem_b[0::2] * bwd_e
-            lb += drain_e
-            colmax = lb.max(axis=0)
-            lb = np.maximum(Fe[1:], Bo)
-            lb += rem_f[1::2] * fwd_o
-            lb += rem_b[1::2] * bwd_o
-            lb += drain_o
-            np.maximum(colmax, lb.max(axis=0), out=colmax)
-            mask = colmax <= limit * _SIEVE_PAD
-            survivors = int(mask.sum())
-            if survivors >= keep.size * (1.0 - _COMPACT_FRACTION):
-                return
-            Fe = np.ascontiguousarray(Fe[:, mask])
-            Fo = np.ascontiguousarray(Fo[:, mask])
-            Be = np.ascontiguousarray(Be[:, mask])
-            Bo = np.ascontiguousarray(Bo[:, mask])
-            fwd_e = np.ascontiguousarray(fwd_e[:, mask])
-            fwd_o = np.ascontiguousarray(fwd_o[:, mask])
-            bwd_e = np.ascontiguousarray(bwd_e[:, mask])
-            bwd_o = np.ascontiguousarray(bwd_o[:, mask])
-            drain_e = np.ascontiguousarray(drain_e[:, mask])
-            drain_o = np.ascontiguousarray(drain_o[:, mask])
-            keep = keep[mask]
-            if vec_comm:
-                comm = comm[mask]
-            k_now = survivors
-            Me = np.empty((h + 1, k_now))
-            Mo = np.empty((h, k_now))
-            tmid = np.empty((h - 1, k_now))
-
+        # A checkpoint inside the fused phase sieves at the first
+        # iteration boundary whose completed B-halves reach it.
+        cps = sorted(c for c in checkpoints if c >= fuse_lo)
         t = fuse_lo
         while t + 2 <= fuse_hi:
             if cps and t - 1 >= cps[0]:
                 while cps and t - 1 >= cps[0]:
                     cps.pop(0)
-                sieve_fused(t)
-            # B-half of t + F-half of t + 1: even-row frontier.
-            np.maximum(Fe, Be, out=Me)
-            np.add(Me[1:h], comm, out=tmid)
-            np.add(Me[0], fwd_e[0], out=Fo[0])
-            np.add(tmid, fwd_e[1:], out=Fo[1:])
-            np.add(tmid, bwd_o[:-1], out=Bo[:-1])
-            np.add(Me[h], bwd_o[-1], out=Bo[-1])
-            # F-half of t + 2 + B-half of t + 1: odd-row frontier.
-            np.maximum(Fo, Bo, out=Mo)
-            np.add(Mo, comm, out=Mo)
-            np.add(Mo, fwd_o, out=Fe[1:])
-            np.add(Mo, bwd_e, out=Be[:h])
-            t += 2
+                sieve(t, t - 1)
+            count = (fuse_hi - t) // 2
+            if cps:
+                count = min(count, (cps[0] - t) // 2 + 1)
+            fused(count)
+            t += 2 * count
         # Completed: F-halves through ``t``, B-halves through ``t - 1``.
-        if k_now != F.shape[1]:
-            F = np.empty((n + 1, k_now))
-            B = np.empty((n + 1, k_now))
-            fwd = np.empty((n, k_now))
-            bwd = np.empty((n, k_now))
-            drain = np.empty((n, k_now))
-            fwd[0::2] = fwd_e
-            fwd[1::2] = fwd_o
-            bwd[0::2] = bwd_e
-            bwd[1::2] = bwd_o
-            drain[0::2] = drain_e
-            drain[1::2] = drain_o
-            tF = np.empty((n, k_now))
-            tB = np.empty((n, k_now))
-        F[0::2] = Fe
-        F[1::2] = Fo
-        B[0::2] = Be
-        B[1::2] = Bo
         b_part(t)
         if cps and cps[0] <= t:
-            cps = [c for c in cps if c > t]
-            sieve(t)
+            sieve(t, t)
         for step in range(t + 1, 2 * m - 1):
             f_part(step)
             b_part(step)
             if step in checkpoints and step > t:
-                sieve(step)
+                sieve(step, step)
 
     # -- cooldown: anti-diagonal v drains B(x, m - 1 - ...) ----------------
     # Symmetric fix rows: a stage's first cooldown backward can trail

@@ -31,7 +31,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.baselines.megatron import uniform_partition
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
@@ -61,6 +61,7 @@ from repro.schedules.base import CommOp, ComputeOp, Schedule, Transfer
 from repro.schedules.interleaved import build_interleaved
 from repro.sim.analytic import (
     AnalyticUnsupported,
+    _fused_window,
     bubble_fractions,
     execute_analytic,
     frontier_times,
@@ -87,20 +88,31 @@ def _cost_matrices(k, n, seed, tie_heavy=False):
 # -- frontier sweep vs lattice batch sim ------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
+def _note_phase(n, m, comm_mode):
+    """Label the example by which steady-phase path the kernel takes."""
+    if _fused_window(n, m) is None:
+        event(f"per-step {comm_mode}")
+    else:
+        event(f"fused {comm_mode}, {'odd' if n % 2 else 'even'} depth")
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=10),
     k=st.integers(min_value=1, max_value=7),
-    mb_per_stage=st.integers(min_value=1, max_value=3),
+    mb_per_stage=st.integers(min_value=1, max_value=8),
+    m_offset=st.integers(min_value=-1, max_value=1),
     comm_mode=st.sampled_from(("paper", "edges")),
     comm_kind=st.sampled_from(("zero", "scalar", "vector")),
     tie_heavy=st.booleans(),
     seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_frontier_equals_lattice_batch(
-    n, k, mb_per_stage, comm_mode, comm_kind, tie_heavy, seed
+    n, k, mb_per_stage, m_offset, comm_mode, comm_kind, tie_heavy, seed
 ):
-    m = max(1, n * mb_per_stage - 1)
+    # m from below n up to ~8n: long fused middles of both parities.
+    m = max(1, n * mb_per_stage + m_offset)
+    _note_phase(n, m, comm_mode)
     fwd, bwd = _cost_matrices(k, n, seed, tie_heavy)
     rng = np.random.default_rng(seed + 1)
     if comm_kind == "zero":
@@ -127,20 +139,26 @@ def test_frontier_equals_lattice_batch(
         assert startup[i] == sim.startup_overhead
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=9),
     k=st.integers(min_value=2, max_value=24),
-    m=st.integers(min_value=2, max_value=12),
+    m=st.integers(min_value=2, max_value=72),
     comm_mode=st.sampled_from(("paper", "edges")),
+    comm_kind=st.sampled_from(("scalar", "vector")),
     tie_heavy=st.booleans(),
     seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_transposed_sweep_and_sieve_never_drop_the_optimum(
-    n, k, m, comm_mode, tie_heavy, seed
+    n, k, m, comm_mode, comm_kind, tie_heavy, seed
 ):
+    _note_phase(n, m, comm_mode)
     fwd, bwd = _cost_matrices(k, n, seed, tie_heavy)
-    comm = float(np.random.default_rng(seed + 2).uniform(0.0, 0.5))
+    rng = np.random.default_rng(seed + 2)
+    if comm_kind == "scalar":
+        comm = float(rng.uniform(0.0, 0.5))
+    else:
+        comm = rng.uniform(0.0, 0.5, size=k)
     full = frontier_times(fwd, bwd, comm, m, comm_mode=comm_mode)
     fwd_t = np.ascontiguousarray(fwd.T)
     bwd_t = np.ascontiguousarray(bwd.T)
