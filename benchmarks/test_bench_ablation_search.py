@@ -7,6 +7,8 @@ each buys on the Fig. 9 configuration.  The oracle rows additionally
 guard the branch-and-bound: at every depth >= 6 it must run at least 5x
 fewer full simulations than the enumeration while returning the exact
 brute-force optimum; measured wall clocks land in ``BENCH_search.json``.
+A ``prune_slack`` sweep on the 27-block ``TINY12`` model records how
+much a looser pruning test saves and asserts slack 1.0 stays exact.
 """
 
 from __future__ import annotations
@@ -33,7 +35,24 @@ TINY = ModelConfig(
     seq_length=128, vocab_size=8000,
 )
 
+#: 12 layers -> 27 blocks: deep enough that depth-8/10 searches have
+#: hundreds of thousands to millions of candidates, small enough to run
+#: in CI seconds.
+TINY12 = ModelConfig(
+    name="tiny12", num_layers=12, hidden_size=256, num_heads=4,
+    seq_length=128, vocab_size=8000,
+)
+
 _SEARCH_RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_search.json"
+
+
+def _best_of(fn, reps: int = 3) -> float:
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def merge_into_search_results(section: str, payload: dict) -> None:
@@ -138,3 +157,37 @@ def test_bench_oracle_pruning(benchmark):
             in result.rows
         ],
     })
+
+
+def run_prune_slack_sweep(depth: int = 8, m: int = 20):
+    profile = profile_model(
+        TINY12, DEFAULT_CLUSTER_HW,
+        TrainConfig(micro_batch_size=4, global_batch_size=4 * m),
+    )
+    exact = exhaustive_partition(profile, depth, m, max_evaluations=None)
+    result = ExperimentResult(
+        name=f"Prune-slack sweep (depth {depth}, m={m})",
+        headers=["slack", "evals", "time vs exact"],
+    )
+    rows_json = []
+    for slack in (1.0, 1.000000001, 1.01, 1.1):
+        res = exhaustive_partition(
+            profile, depth, m, prune_slack=slack, max_evaluations=None
+        )
+        ratio = res.iteration_time / exact.iteration_time
+        assert res.evaluations <= exact.space
+        assert ratio <= slack + 1e-12
+        result.rows.append([slack, res.evaluations, f"{ratio:.6f}"])
+        rows_json.append({
+            "slack": slack,
+            "evaluations": res.evaluations,
+            "time_ratio_vs_exact": ratio,
+        })
+    merge_into_search_results("prune_slack", {"rows": rows_json})
+    return result
+
+
+def test_bench_prune_slack(benchmark):
+    result = run_and_print(benchmark, run_prune_slack_sweep)
+    # slack 1.0 stays exact
+    assert float(result.rows[0][2]) == 1.0

@@ -22,8 +22,10 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import run_and_print
-from benchmarks.test_bench_ablation_search import merge_into_search_results
-from benchmarks.test_bench_incremental import TINY12
+from benchmarks.test_bench_ablation_search import (
+    TINY12,
+    merge_into_search_results,
+)
 from repro.baselines.dapple import dapple_candidates, plan_dapple
 from repro.baselines.piper import plan_piper
 from repro.config import TrainConfig

@@ -1,13 +1,6 @@
 """AutoPipe core: the paper's Planner (simulator + partitioner) and Slicer."""
 
-from repro.core.analytic_sim import (
-    PipelineSim,
-    PipelineSimBatch,
-    PrefixState,
-    SimResult,
-    SuffixSimBatch,
-    simulate_partition,
-)
+from repro.core.analytic_sim import PipelineSim, SimResult, simulate_partition
 from repro.core.autopipe import AutoPipeSolution, autopipe_plan
 from repro.core.balance_dp import (
     BalanceTable,
@@ -42,10 +35,7 @@ from repro.core.strategy import (
 
 __all__ = [
     "PipelineSim",
-    "PipelineSimBatch",
-    "PrefixState",
     "SimResult",
-    "SuffixSimBatch",
     "simulate_partition",
     "AutoPipeSolution",
     "autopipe_plan",

@@ -45,22 +45,11 @@ times per search sweep):
 * :class:`SimResult` stores flat arrays and materialises the
   ``op_start``/``op_end``/``op_phase`` dictionaries on first access —
   planner-style consumers that read only ``iteration_time`` and
-  ``master_stage`` never pay for dict construction;
-* partition searches evaluate families of candidates that share a
-  *prefix* of the stage-time vector (the planner's cooldown/shift moves,
-  the oracle's left-to-right cut descent).  The ops whose start times are
-  a pure function of the prefix times — the **free lattice** of a cut
-  ``k``: Warmup FPs plus the first steady FP of each prefix stage, i.e.
-  every op whose dependency closure avoids stages ``>= k`` — can be
-  checkpointed once per shared prefix (:class:`PrefixState`, built
-  stage-by-stage via :meth:`PrefixState.extend`) and reused verbatim;
-  :meth:`PipelineSim.resume` and :class:`SuffixSimBatch` recompute only
-  the remaining ops.  Every recomputed op performs the identical IEEE
-  operation sequence (``max`` of predecessor ends, ``+ comm``, ``+ dur``)
-  over operands that are bitwise equal to a cold run's, so resumed
-  results are bit-for-bit identical to :meth:`PipelineSim.run`
-  (tests/core/test_incremental_sim.py property-checks this, ties and
-  critical paths included).
+  ``master_stage`` never pay for dict construction.
+
+Batched scoring of many candidates (the exact oracle, robustness draws)
+runs in the closed-form max-plus kernel of :mod:`repro.sim.analytic`,
+which is property-tested bit for bit against this scalar simulator.
 
 All of this is exact: start/end times, critical path, master stage and
 tie-breaks are bit-for-bit identical to the straightforward dict-based
@@ -114,8 +103,7 @@ class _Shape:
 
     __slots__ = (
         "n", "m", "ops", "index", "intra", "cross", "order",
-        "kahn_pos", "stage", "is_fwd", "phases", "startup_index",
-        "final_index", "dur_index", "_levels", "_plans", "_preds",
+        "kahn_pos", "stage", "is_fwd", "phases", "startup_index", "_preds",
     )
 
     def __init__(self, n: int, m: int) -> None:
@@ -181,18 +169,6 @@ class _Shape:
         self.is_fwd = np.asarray([op[0] == "F" for op in ops])
         self.phases = tuple(phases)
         self.startup_index = index[("F", n - 1, 0)]
-        #: ``B(0, m-1)`` is a sink reachable from every op (BP cross deps
-        #: chain down to stage 0 and intra deps chain each stage to its
-        #: last op), and end times are monotone along edges (comm and
-        #: durations are non-negative), so its end *is* the iteration time
-        #: — no (size, K) max reduction needed.
-        self.final_index = index[("B", 0, m - 1)]
-        #: row of the stacked ``[fwd; bwd]`` (2n, K) stage-time matrix
-        #: holding each op's duration: one gather replaces the
-        #: fwd/bwd-gather + where dance per level.
-        self.dur_index = np.where(self.is_fwd, self.stage, self.stage + n)
-        self._levels: Optional[List[Tuple[np.ndarray, ...]]] = None
-        self._plans: Dict[int, "_SuffixPlan"] = {}
         self._preds: Optional[Tuple[np.ndarray, ...]] = None
 
     def pred_arrays(self) -> Tuple[np.ndarray, ...]:
@@ -215,137 +191,6 @@ class _Shape:
             )
             self._preds = cached
         return cached
-
-    def levels(self) -> List[Tuple[np.ndarray, ...]]:
-        """Wavefront plan for batched evaluation, built lazily.
-
-        Ops are grouped by longest-path depth: every op in level ``d`` has
-        all predecessors in levels ``< d``, so one level is one fully
-        vectorisable step of the recurrence.  Each entry is
-        ``(ops, cross_safe, has_cross, intra_safe, has_intra)`` where the
-        ``*_safe`` index arrays clamp the missing-predecessor sentinel -1
-        to 0 (masked out by the ``has_*`` arrays).
-        """
-        if self._levels is not None:
-            return self._levels
-        size = len(self.ops)
-        depth = [0] * size
-        for i in self.order:
-            d = 0
-            for p in (self.cross[i], self.intra[i]):
-                if p >= 0 and depth[p] + 1 > d:
-                    d = depth[p] + 1
-            depth[i] = d
-        by_level: Dict[int, List[int]] = {}
-        for i in range(size):
-            by_level.setdefault(depth[i], []).append(i)
-        plan: List[Tuple[np.ndarray, ...]] = []
-        for d in sorted(by_level):
-            idx = np.asarray(by_level[d], dtype=np.int64)
-            cross = np.asarray([self.cross[i] for i in by_level[d]], dtype=np.int64)
-            intra = np.asarray([self.intra[i] for i in by_level[d]], dtype=np.int64)
-            plan.append((
-                idx,
-                np.maximum(cross, 0), cross >= 0,
-                np.maximum(intra, 0), intra >= 0,
-            ))
-        self._levels = plan
-        return plan
-
-    def suffix_plan(self, k: int) -> "_SuffixPlan":
-        """The cut-``k`` resume plan (free lattice + suffix wavefront).
-
-        Cached per shape: the free set is a pure function of the topology
-        and the cut, never of the durations.
-        """
-        plan = self._plans.get(k)
-        if plan is None:
-            plan = _SuffixPlan(self, k)
-            self._plans[k] = plan
-        return plan
-
-
-class _SuffixPlan:
-    """Resume plan for one cut position ``k`` of a shape.
-
-    *Free* ops are those whose start/end times depend only on the stage
-    times of stages ``< k``: an op is free iff it lives on a prefix stage
-    and every predecessor is free.  (Concretely: the Warmup FPs of the
-    prefix stages plus each prefix stage's first steady FP — every other
-    prefix op sits downstream of a BP, and BPs chain up from the last
-    stage, so they feel the suffix times.)  Free sets are nested in ``k``,
-    which is what makes per-stage :meth:`PrefixState.extend` checkpoints
-    possible: the ``delta`` arrays list the ops that become free when the
-    cut moves from ``k-1`` to ``k``, in topological order.
-
-    The ``levels`` here are the shape's wavefront levels restricted to
-    non-free ops: seeding the free columns from a checkpoint and relaxing
-    only these levels visits every remaining op exactly once, with all
-    predecessors (free or earlier-level) already final.
-    """
-
-    __slots__ = (
-        "k", "free_mask", "free_idx", "free_idx_list", "free_pos",
-        "delta", "delta_cross", "delta_intra", "levels", "nonfree_order",
-        "max_level_width",
-    )
-
-    def __init__(self, shape: _Shape, k: int) -> None:
-        if not 0 <= k < shape.n:
-            raise ValueError(
-                f"cut must satisfy 0 <= k < {shape.n}, got {k}"
-            )
-        size = len(shape.ops)
-        stage, cross, intra = shape.stage, shape.cross, shape.intra
-        free = [False] * size
-        for i in shape.order:
-            if stage[i] >= k:
-                continue
-            c, q = cross[i], intra[i]
-            free[i] = (c < 0 or free[c]) and (q < 0 or free[q])
-        self.k = k
-        self.free_mask = np.asarray(free)
-        self.free_idx = np.nonzero(self.free_mask)[0]
-        #: plain-int view for scalar loops (avoids np.int64 indexing cost).
-        self.free_idx_list = self.free_idx.tolist()
-        #: op index -> row in the checkpoint's value arrays.
-        self.free_pos = {i: p for p, i in enumerate(self.free_idx_list)}
-        #: ops that turn free at this cut (vs cut k-1), topological order.
-        if k == 0:
-            newly: List[int] = []
-        else:
-            prev = shape.suffix_plan(k - 1).free_mask
-            newly = [i for i in shape.order if free[i] and not prev[i]]
-        self.delta = newly
-        self.delta_cross = [cross[i] for i in newly]
-        self.delta_intra = [intra[i] for i in newly]
-        #: evaluation order of the remaining ops (the shape's topological
-        #: order with free ops removed) for the scalar resume path.
-        self.nonfree_order = [i for i in shape.order if not free[i]]
-        #: shape levels restricted to non-free ops (empty levels dropped).
-        #: Masks are stored as (w, 1) float columns (``x * 1.0 == x`` and
-        #: ``x * 0.0 == +0.0`` for the finite non-negative end times, so
-        #: float masks are bitwise equal to the bool forms) and each entry
-        #: carries the level's rows into the stacked ``[fwd; bwd]``
-        #: duration matrix, so the batched relaxation is pure
-        #: gather/multiply/max with no per-level temporaries.
-        levels: List[Tuple[np.ndarray, ...]] = []
-        max_width = 0
-        for idx, c_safe, has_c, q_safe, has_q in shape.levels():
-            keep = ~self.free_mask[idx]
-            if not keep.any():
-                continue
-            kept = idx[keep]
-            max_width = max(max_width, len(kept))
-            levels.append((
-                kept,
-                c_safe[keep], has_c[keep].astype(np.float64)[:, None],
-                q_safe[keep], has_q[keep].astype(np.float64)[:, None],
-                shape.dur_index[kept],
-            ))
-        self.levels = levels
-        self.max_level_width = max_width
-
 
 #: LRU cache of DAG topologies keyed by (num_stages, num_micro_batches).
 _SHAPE_CACHE: "OrderedDict[Tuple[int, int], _Shape]" = OrderedDict()
@@ -412,122 +257,6 @@ class SimResult:
         return 1.0 - self.stage_busy_time(stage) / self.iteration_time
 
 
-@dataclass(frozen=True)
-class PrefixState:
-    """Checkpointed recurrence state of the first ``k`` pipeline stages.
-
-    Holds the start/end times of the cut's *free lattice* — every op
-    whose value is a pure function of the prefix stage times (see
-    :class:`_SuffixPlan`) — in rows aligned with the plan's ``free_idx``.
-    Because those values are computed with the exact per-op arithmetic of
-    :meth:`PipelineSim.run`, any evaluation that seeds them and relaxes
-    the remaining ops in topological order (:meth:`PipelineSim.resume`,
-    :class:`SuffixSimBatch`) reproduces a cold run bit for bit.
-
-    States extend one stage at a time (:meth:`extend`), which is how the
-    search layers checkpoint "after each stage": the oracle's DFS derives
-    the state of a partial assignment from its parent's in
-    ``O(warmup depth)`` scalar steps instead of re-simulating the prefix.
-    """
-
-    n: int
-    m: int
-    k: int
-    comm: float
-    comm_mode: str
-    prefix_fwd: Tuple[float, ...]
-    prefix_bwd: Tuple[float, ...]
-    #: free-lattice start/end values as plain float tuples (rows align
-    #: with the plan's ``free_idx``); tuples keep :meth:`extend` chains —
-    #: the oracle's hottest non-batched loop — free of numpy round-trips.
-    _start: Tuple[float, ...] = field(repr=False, compare=False)
-    _end: Tuple[float, ...] = field(repr=False, compare=False)
-
-    @classmethod
-    def initial(
-        cls, n: int, m: int, comm: float, *, comm_mode: str = "paper"
-    ) -> "PrefixState":
-        """The empty checkpoint (cut 0): no stage fixed yet."""
-        if n < 1:
-            raise ValueError("need at least one stage")
-        if m <= 0:
-            raise ValueError("need at least one micro-batch")
-        if comm < 0:
-            raise ValueError("times must be non-negative")
-        if comm_mode not in ("paper", "edges"):
-            raise ValueError(f"unknown comm_mode {comm_mode!r}")
-        return cls(
-            n=n, m=m, k=0, comm=comm, comm_mode=comm_mode,
-            prefix_fwd=(), prefix_bwd=(), _start=(), _end=(),
-        )
-
-    @property
-    def num_free_ops(self) -> int:
-        return len(self._end)
-
-    def extend(self, fwd: float, bwd: float) -> "PrefixState":
-        """Fix stage ``k``'s times, yielding the cut-``k+1`` checkpoint.
-
-        Only the newly free ops (stage ``k``'s Warmup FPs and first steady
-        FP) are evaluated — with the same arithmetic, in the same order, a
-        cold run applies to them — so a chain of ``extend`` calls is
-        bitwise equal to :meth:`PipelineSim.prefix_state` on the full
-        vector.
-        """
-        if self.k >= self.n - 1:
-            raise ValueError(
-                f"cannot extend a cut-{self.k} state of a {self.n}-stage "
-                "pipeline: at most n-1 stages can be checkpointed"
-            )
-        if fwd < 0 or bwd < 0:
-            raise ValueError("times must be non-negative")
-        shape = _shape(self.n, self.m)
-        old_plan = shape.suffix_plan(self.k)
-        new_plan = shape.suffix_plan(self.k + 1)
-        size = len(shape.ops)
-        # List-based scratch: the delta loop and later resume loops run on
-        # plain Python floats (same doubles, no boxed-scalar arithmetic).
-        start = [0.0] * size
-        end = [0.0] * size
-        for p, i in enumerate(old_plan.free_idx_list):
-            start[i] = self._start[p]
-            end[i] = self._end[p]
-        comm = self.comm
-        if self.comm_mode == "paper":
-            for i, c, q in zip(
-                new_plan.delta, new_plan.delta_cross, new_plan.delta_intra
-            ):
-                base = 0.0
-                if c >= 0:
-                    base = end[c]
-                if q >= 0 and end[q] > base:
-                    base = end[q]
-                s = base + comm if c >= 0 else base
-                start[i] = s
-                end[i] = s + fwd
-        else:
-            for i, c, q in zip(
-                new_plan.delta, new_plan.delta_cross, new_plan.delta_intra
-            ):
-                s = 0.0
-                if c >= 0:
-                    arrival = end[c] + comm
-                    if arrival > s:
-                        s = arrival
-                if q >= 0 and end[q] > s:
-                    s = end[q]
-                start[i] = s
-                end[i] = s + fwd
-        return PrefixState(
-            n=self.n, m=self.m, k=self.k + 1, comm=self.comm,
-            comm_mode=self.comm_mode,
-            prefix_fwd=self.prefix_fwd + (fwd,),
-            prefix_bwd=self.prefix_bwd + (bwd,),
-            _start=tuple(start[i] for i in new_plan.free_idx_list),
-            _end=tuple(end[i] for i in new_plan.free_idx_list),
-        )
-
-
 class PipelineSim:
     """Evaluates the 1F1B dependency DAG for one partition scheme."""
 
@@ -592,10 +321,9 @@ class PipelineSim:
         """Run the start-time recurrence over ``order`` in place.
 
         ``order`` must be topologically consistent: every predecessor of
-        an op is either earlier in ``order`` or already final in ``end``
-        (a checkpointed free op).  Shared by :meth:`run` (full order) and
-        :meth:`resume` (non-free order), so both paths perform the one
-        IEEE operation sequence per op.
+        an op is earlier in ``order``.  Each op performs one fixed IEEE
+        operation sequence (``max`` of predecessor ends, ``+ comm``,
+        ``+ dur``), the sequence the frontier kernel reproduces bitwise.
         """
         shape = self._shape
         comm = self.times.comm
@@ -638,85 +366,13 @@ class PipelineSim:
         self._relax_scalar(shape.order, start, end, dur)
         return self._finalize(start, end, dur)
 
-    # -- incremental evaluation -------------------------------------------
-
-    def prefix_state(self, k: int) -> PrefixState:
-        """Checkpoint the recurrence state of stages ``0..k-1``.
-
-        Evaluates only the cut's free lattice (the ops whose times do not
-        depend on stages ``>= k``), so the checkpoint can be taken without
-        running the full simulation.  Equals a chain of ``k``
-        :meth:`PrefixState.extend` steps bit for bit.
-        """
-        shape = self._shape
-        plan = shape.suffix_plan(k)
-        size = len(shape.ops)
-        dur = self._durations()
-        start = [0.0] * size
-        end = [0.0] * size
-        # free_idx ascends in stage-major op order, which is topological
-        # within the free lattice (intra preds earlier in the stage, cross
-        # preds on an earlier stage).
-        self._relax_scalar(plan.free_idx_list, start, end, dur)
-        return PrefixState(
-            n=self.n, m=self.m, k=k, comm=self.times.comm,
-            comm_mode=self.comm_mode,
-            prefix_fwd=self.times.fwd[:k],
-            prefix_bwd=self.times.bwd[:k],
-            _start=tuple(start[i] for i in plan.free_idx_list),
-            _end=tuple(end[i] for i in plan.free_idx_list),
-        )
-
-    @classmethod
-    def resume(cls, state: PrefixState, suffix_times: StageTimes) -> SimResult:
-        """Complete a checkpointed prefix with suffix stage times.
-
-        ``suffix_times`` carries stages ``k..n-1`` (and must match the
-        checkpoint's comm scalar).  The free lattice is seeded from the
-        checkpoint and every remaining op — the whole suffix plus the
-        BP-coupled part of the prefix — is relaxed in topological order
-        with the cold path's arithmetic, so the returned
-        :class:`SimResult` is bit-for-bit identical to
-        ``PipelineSim(full_times, m).run()``: iteration time, startup
-        overhead, critical path, master stage, ties included.
-        """
-        if suffix_times.comm != state.comm:
-            raise ValueError(
-                f"suffix comm {suffix_times.comm!r} does not match the "
-                f"checkpoint's {state.comm!r}"
-            )
-        if state.k + suffix_times.num_stages != state.n:
-            raise ValueError(
-                f"cut-{state.k} checkpoint of a {state.n}-stage pipeline "
-                f"needs {state.n - state.k} suffix stages, got "
-                f"{suffix_times.num_stages}"
-            )
-        times = StageTimes(
-            state.prefix_fwd + suffix_times.fwd,
-            state.prefix_bwd + suffix_times.bwd,
-            state.comm,
-        )
-        sim = cls(times, state.m, comm_mode=state.comm_mode)
-        shape = sim._shape
-        plan = shape.suffix_plan(state.k)
-        size = len(shape.ops)
-        dur = sim._durations()
-        start = [0.0] * size
-        end = [0.0] * size
-        for p, i in enumerate(plan.free_idx_list):
-            start[i] = state._start[p]
-            end[i] = state._end[p]
-        sim._relax_scalar(plan.nonfree_order, start, end, dur)
-        return sim._finalize(start, end, dur)
-
     def _finalize(
         self, start: List[float], end: List[float], dur: List[float]
     ) -> SimResult:
         """Winner selection, critical-path backtrack and master stage.
 
-        Shared by :meth:`run` and :meth:`PipelineSimBatch.result`: the
-        batch path computes the same start/end values vectorised and only
-        pays for this step on requested winners.
+        Split from :meth:`run` so the recurrence and the backtrack can be
+        read (and profiled) separately.
         """
         shape = self._shape
         start_arr = np.asarray(start)
@@ -837,362 +493,6 @@ class PipelineSim:
         total = self.times.total
         best = max(total)
         return max(x for x in range(self.n) if total[x] >= best * (1 - 1e-9))
-
-
-class PipelineSimBatch:
-    """Vectorised evaluation of many candidate stage-time vectors at once.
-
-    All candidates share the pipeline shape ``(num_stages, m)`` and the
-    comm mode — exactly the situation of a partition search, where
-    thousands of candidate partitions of one model aggregate to different
-    ``(fwd, bwd)`` stage vectors over the same dependency DAG.  ``comm``
-    is normally one shared scalar; a ``(K,)`` vector gives each candidate
-    row its own comm time (perturbation draws degrade the link per draw —
-    see :mod:`repro.robustness`).  A vector whose entries all equal the
-    scalar is bitwise equivalent to passing the scalar.
-
-    The recurrences run level-by-level over the cached DAG wavefront
-    (:meth:`_Shape.levels`): each level is one numpy step over a ``(K,)``
-    column slice, so the Python-loop cost is the DAG *depth* instead of
-    ``K * size``.  The arithmetic per op is the same IEEE sequence as the
-    scalar :class:`PipelineSim` — ``max`` of predecessor ends, ``+ comm``,
-    ``+ dur`` — so iteration times and startup overheads are bit-for-bit
-    identical to ``K`` scalar runs
-    (tests/core/test_search_properties.py asserts this).
-
-    Critical-path backtracking and master-stage selection are *not*
-    vectorised; :meth:`result` materialises the full :class:`SimResult`
-    for one requested winner by handing the candidate's precomputed
-    start/end row to the scalar finaliser.
-    """
-
-    def __init__(
-        self,
-        fwd: "np.ndarray",
-        bwd: "np.ndarray",
-        comm: float,
-        num_micro_batches: int,
-        *,
-        comm_mode: str = "paper",
-    ) -> None:
-        fwd = np.ascontiguousarray(fwd, dtype=np.float64)
-        bwd = np.ascontiguousarray(bwd, dtype=np.float64)
-        if fwd.ndim != 2 or fwd.shape != bwd.shape:
-            raise ValueError(
-                f"need matching (K, num_stages) matrices, got {fwd.shape} "
-                f"and {bwd.shape}"
-            )
-        if fwd.shape[1] < 1:
-            raise ValueError("need at least one stage")
-        if fwd.min(initial=0.0) < 0 or bwd.min(initial=0.0) < 0:
-            raise ValueError("times must be non-negative")
-        if np.ndim(comm) == 0:
-            if comm < 0:
-                raise ValueError("times must be non-negative")
-            self.comm = float(comm)
-            self._comm_vec: Optional[np.ndarray] = None
-        else:
-            vec = np.ascontiguousarray(comm, dtype=np.float64)
-            if vec.shape != (fwd.shape[0],):
-                raise ValueError(
-                    f"per-candidate comm must have shape ({fwd.shape[0]},), "
-                    f"got {vec.shape}"
-                )
-            if vec.min(initial=0.0) < 0:
-                raise ValueError("times must be non-negative")
-            self.comm = vec
-            self._comm_vec = vec
-        if num_micro_batches <= 0:
-            raise ValueError("need at least one micro-batch")
-        if comm_mode not in ("paper", "edges"):
-            raise ValueError(f"unknown comm_mode {comm_mode!r}")
-        self.fwd = fwd
-        self.bwd = bwd
-        self.m = num_micro_batches
-        self.comm_mode = comm_mode
-        self.num_candidates, self.n = fwd.shape
-        self._shape = _shape(self.n, self.m)
-        self._start: Optional[np.ndarray] = None
-        self._end: Optional[np.ndarray] = None
-        self._dur: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_stage_times(
-        cls,
-        candidates: List[StageTimes],
-        num_micro_batches: int,
-        *,
-        comm_mode: str = "paper",
-    ) -> "PipelineSimBatch":
-        if not candidates:
-            raise ValueError("need at least one candidate")
-        comm = candidates[0].comm
-        if any(t.comm != comm for t in candidates):
-            raise ValueError("all candidates must share one comm time")
-        return cls(
-            np.asarray([t.fwd for t in candidates]),
-            np.asarray([t.bwd for t in candidates]),
-            comm,
-            num_micro_batches,
-            comm_mode=comm_mode,
-        )
-
-    def _evaluate(self) -> None:
-        if self._end is not None:
-            return
-        shape = self._shape
-        size = len(shape.ops)
-        # A (K, 1) comm column broadcasts through the identical IEEE
-        # expressions as the scalar, so per-candidate comm costs nothing
-        # on the scalar path and is bitwise equal when the entries agree.
-        comm = self.comm if self._comm_vec is None else self._comm_vec[:, None]
-        # (K, size) per-op durations: fwd/bwd of the op's stage by op kind.
-        dur = np.where(
-            shape.is_fwd[None, :],
-            self.fwd[:, shape.stage],
-            self.bwd[:, shape.stage],
-        )
-        start = np.zeros((self.num_candidates, size))
-        end = np.zeros((self.num_candidates, size))
-        paper = self.comm_mode == "paper"
-        for idx, c_safe, has_c, q_safe, has_q in shape.levels():
-            ce = np.where(has_c[None, :], end[:, c_safe], 0.0)
-            qe = np.where(has_q[None, :], end[:, q_safe], 0.0)
-            if paper:
-                base = np.maximum(ce, qe)
-                s = np.where(has_c[None, :], base + comm, base)
-            else:
-                s = np.maximum(
-                    np.where(has_c[None, :], ce + comm, 0.0), qe
-                )
-            start[:, idx] = s
-            end[:, idx] = s + dur[:, idx]
-        self._start = start
-        self._end = end
-        self._dur = dur
-
-    def iteration_times(self) -> "np.ndarray":
-        """Per-candidate iteration time, shape ``(K,)``."""
-        self._evaluate()
-        return self._end.max(axis=1)
-
-    def startup_overheads(self) -> "np.ndarray":
-        """Per-candidate startup overhead (first FP start on the last stage)."""
-        self._evaluate()
-        return self._start[:, self._shape.startup_index].copy()
-
-    def result(self, k: int) -> SimResult:
-        """Full :class:`SimResult` for candidate ``k`` (winner backtrack).
-
-        Reuses the batched start/end row, so only the critical-path walk
-        and master-stage selection run scalar — bit-identical to
-        ``PipelineSim(times_k, m).run()``.
-        """
-        self._evaluate()
-        comm = self.comm if self._comm_vec is None else float(self._comm_vec[k])
-        times = StageTimes(
-            tuple(self.fwd[k].tolist()), tuple(self.bwd[k].tolist()), comm
-        )
-        sim = PipelineSim(times, self.m, comm_mode=self.comm_mode)
-        return sim._finalize(
-            self._start[k].tolist(), self._end[k].tolist(), self._dur[k].tolist()
-        )
-
-
-class SuffixSimBatch:
-    """Batched completion of prefix checkpoints with ``(K, suffix)`` times.
-
-    The incremental sibling of :class:`PipelineSimBatch`: instead of
-    relaxing all ``2nm`` ops for every candidate, the cut's free lattice
-    is seeded from checkpointed :class:`PrefixState` values and only the
-    suffix wavefront (:attr:`_SuffixPlan.levels`) is relaxed — the exact
-    situation of the oracle's chunk flushes, where every buffered leaf
-    shares the prefix fixed by the partial assignment.
-
-    Accepts either one shared :class:`PrefixState` (all ``K`` rows extend
-    the same prefix) or a length-``K`` sequence of states agreeing on
-    ``(n, m, k, comm, comm_mode)`` but with per-row prefix times.  The
-    level arithmetic is the same IEEE sequence as the cold batch path and
-    the seeds are bitwise equal to what a cold relaxation would compute
-    for the free ops, so :meth:`iteration_times` / :meth:`result` are
-    bit-for-bit identical to ``K`` cold runs.
-    """
-
-    def __init__(
-        self,
-        states,
-        suffix_fwd: "np.ndarray",
-        suffix_bwd: "np.ndarray",
-        *,
-        need_start: bool = True,
-    ) -> None:
-        if isinstance(states, PrefixState):
-            shared: PrefixState = states
-            state_list: Optional[List[PrefixState]] = None
-        else:
-            state_list = list(states)
-            if not state_list:
-                raise ValueError("need at least one prefix state")
-            shared = state_list[0]
-        suffix_fwd = np.ascontiguousarray(suffix_fwd, dtype=np.float64)
-        suffix_bwd = np.ascontiguousarray(suffix_bwd, dtype=np.float64)
-        if suffix_fwd.ndim != 2 or suffix_fwd.shape != suffix_bwd.shape:
-            raise ValueError(
-                f"need matching (K, suffix) matrices, got "
-                f"{suffix_fwd.shape} and {suffix_bwd.shape}"
-            )
-        num_candidates, width = suffix_fwd.shape
-        n, m, k = shared.n, shared.m, shared.k
-        if width != n - k:
-            raise ValueError(
-                f"cut-{k} checkpoint of a {n}-stage pipeline needs "
-                f"{n - k} suffix columns, got {width}"
-            )
-        if state_list is not None and len(state_list) != num_candidates:
-            raise ValueError(
-                f"got {len(state_list)} prefix states for "
-                f"{num_candidates} suffix rows"
-            )
-        if suffix_fwd.min(initial=0.0) < 0 or suffix_bwd.min(initial=0.0) < 0:
-            raise ValueError("times must be non-negative")
-        if state_list is not None:
-            sig = (n, m, k, shared.comm, shared.comm_mode)
-            for st in state_list[1:]:
-                if (st.n, st.m, st.k, st.comm, st.comm_mode) != sig:
-                    raise ValueError(
-                        "all prefix states must share (n, m, k, comm, "
-                        "comm_mode)"
-                    )
-        self.n, self.m, self.k = n, m, k
-        self.comm = shared.comm
-        self.comm_mode = shared.comm_mode
-        self.num_candidates = num_candidates
-        self._shape = _shape(n, m)
-        self._plan = self._shape.suffix_plan(k)
-        # Full (K, n) stage-time matrices; prefix columns from the states.
-        fwd = np.empty((num_candidates, n))
-        bwd = np.empty((num_candidates, n))
-        if state_list is None:
-            fwd[:, :k] = shared.prefix_fwd
-            bwd[:, :k] = shared.prefix_bwd
-        else:
-            fwd[:, :k] = [st.prefix_fwd for st in state_list]
-            bwd[:, :k] = [st.prefix_bwd for st in state_list]
-        fwd[:, k:] = suffix_fwd
-        bwd[:, k:] = suffix_bwd
-        self.fwd = fwd
-        self.bwd = bwd
-        nfree = len(self._plan.free_idx)
-        if state_list is None:
-            self._seed_start = np.broadcast_to(
-                np.asarray(shared._start), (num_candidates, nfree)
-            )
-            self._seed_end = np.broadcast_to(
-                np.asarray(shared._end), (num_candidates, nfree)
-            )
-        else:
-            self._seed_start = np.asarray(
-                [st._start for st in state_list]
-            ).reshape(num_candidates, nfree)
-            self._seed_end = np.asarray(
-                [st._end for st in state_list]
-            ).reshape(num_candidates, nfree)
-        self._need_start = need_start
-        self._start: Optional[np.ndarray] = None
-        self._end: Optional[np.ndarray] = None
-
-    def _evaluate(self) -> None:
-        if self._end is not None:
-            return
-        shape = self._shape
-        plan = self._plan
-        size = len(shape.ops)
-        num = self.num_candidates
-        comm = self.comm
-        # Op-major (size, K) layout: one level's ops are consecutive rows,
-        # so the per-level gathers/scatters copy contiguous memory instead
-        # of striding across candidate rows.  Durations live in a stacked
-        # (2n, K) matrix indexed by the plan's precomputed rows — one
-        # gather per level, no fwd/bwd select.
-        dur_src = np.empty((2 * self.n, num))
-        dur_src[: self.n] = self.fwd.T
-        dur_src[self.n :] = self.bwd.T
-        # Start times are only read back through startup_overheads() /
-        # result(); the oracle's flushes never do, and skipping the array
-        # saves one scatter per level on the hottest path.
-        start = np.zeros((size, num)) if self._need_start else None
-        end = np.zeros((size, num))
-        if len(plan.free_idx):
-            if start is not None:
-                start[plan.free_idx, :] = self._seed_start.T
-            end[plan.free_idx, :] = self._seed_end.T
-        paper = self.comm_mode == "paper"
-        # Masking with ``* mask`` / ``+ comm * mask`` is bitwise equal to
-        # the np.where forms of the cold batch path: end times are finite
-        # and >= +0.0, so ``x * 1.0 == x``, ``x * 0.0 == +0.0`` and
-        # ``x + 0.0 == x`` hold exactly; where the mask is set the masked
-        # expression evaluates the identical IEEE sequence.  Gathers reuse
-        # three preallocated (max_width, K) buffers — the loop allocates
-        # nothing but the tiny per-level comm addend.
-        width = plan.max_level_width
-        buf_c = np.empty((width, num))
-        buf_q = np.empty((width, num))
-        buf_d = np.empty((width, num))
-        for idx, c_safe, has_c, q_safe, has_q, dur_rows in plan.levels:
-            w = len(idx)
-            ce = np.take(end, c_safe, axis=0, out=buf_c[:w], mode="clip")
-            ce *= has_c
-            qe = np.take(end, q_safe, axis=0, out=buf_q[:w], mode="clip")
-            qe *= has_q
-            if paper:
-                s = np.maximum(ce, qe, out=ce)
-                s += comm * has_c
-            else:
-                ce += comm * has_c
-                s = np.maximum(ce, qe, out=ce)
-            if start is not None:
-                start[idx] = s
-            s += np.take(dur_src, dur_rows, axis=0, out=buf_d[:w], mode="clip")
-            end[idx] = s
-        self._start = start
-        self._end = end
-
-    def iteration_times(self) -> "np.ndarray":
-        """Per-candidate iteration time, shape ``(K,)``."""
-        self._evaluate()
-        # ``B(0, m-1)`` is a sink reachable from every op with monotone
-        # end times along edges, so its row equals the per-column max.
-        return self._end[self._shape.final_index].copy()
-
-    def startup_overheads(self) -> "np.ndarray":
-        """Per-candidate startup overhead (first FP start on the last stage)."""
-        self._ensure_start()
-        return self._start[self._shape.startup_index].copy()
-
-    def _ensure_start(self) -> None:
-        """Re-run the relaxation with the start array materialised."""
-        self._evaluate()
-        if self._start is None:
-            self._need_start = True
-            self._end = None
-            self._evaluate()
-
-    def result(self, k: int) -> SimResult:
-        """Full :class:`SimResult` for candidate ``k`` (winner backtrack)."""
-        self._ensure_start()
-        times = StageTimes(
-            tuple(self.fwd[k].tolist()), tuple(self.bwd[k].tolist()), self.comm
-        )
-        sim = PipelineSim(times, self.m, comm_mode=self.comm_mode)
-        # Durations are gathered per level during evaluation; rebuild the
-        # winner's full row only here (one row per requested result).
-        shape = self._shape
-        dur = np.where(
-            shape.is_fwd, self.fwd[k][shape.stage], self.bwd[k][shape.stage]
-        )
-        return sim._finalize(
-            self._start[:, k].tolist(), self._end[:, k].tolist(), dur.tolist()
-        )
 
 
 def simulate_partition(

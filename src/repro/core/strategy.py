@@ -98,7 +98,6 @@ def autopipe_config(
     *,
     granularity: str = "sublayer",
     sim_cache: Optional[SimCache] = None,
-    incremental: bool = False,
     jobs: Optional[int] = None,
     cache=None,
 ) -> PlannedConfig:
@@ -107,10 +106,7 @@ def autopipe_config(
     ``sim_cache`` defaults to the process-wide memo shared by all sweep
     entry points (the Table III/IV sweeps re-evaluate many identical
     candidate stage times across cells); pass an explicit cache to
-    isolate a run.  ``incremental`` forwards to
-    :func:`repro.core.planner.plan_partition`'s prefix-state resume path
-    (bit-identical results; see its docstring for when it pays off).
-    ``jobs``/``cache`` forward to the planner's worker-process wave
+    isolate a run.  ``jobs``/``cache`` forward to the planner's worker-process wave
     evaluation and the persistent plan cache (see
     :mod:`repro.core.parallel_search` / :mod:`repro.core.plan_cache`);
     both leave the chosen configuration bit-identical.
@@ -161,8 +157,7 @@ def autopipe_config(
                 planned = plan_partition(
                     profile, pp, m, granularity=granularity,
                     memory_cap=profile.hardware.gpu_memory,
-                    sim_cache=sim_cache, incremental=incremental,
-                    jobs=jobs, cache=cache,
+                    sim_cache=sim_cache, jobs=jobs, cache=cache,
                 )
                 partition = planned.partition
                 predicted = planned.iteration_time

@@ -46,8 +46,8 @@ Bit-identity contract
 Every update uses the same IEEE max/add expressions, in the same
 association order, as :class:`~repro.core.analytic_sim.PipelineSim`'s
 ``_relax_scalar`` (both comm modes), so :func:`frontier_times` is
-bit-for-bit equal to ``PipelineSimBatch(...).iteration_times()`` —
-property-tested in ``tests/sim/test_analytic.py``.
+bit-for-bit equal to ``K`` scalar ``PipelineSim(...).run()`` iteration
+times — property-tested in ``tests/sim/test_analytic.py``.
 
 Applicability matrix
 --------------------
@@ -66,7 +66,7 @@ per-op critical path, master stage    :class:`~repro.core.analytic_sim.
                                       PipelineSim` (the planner's shift loop
                                       consumes critical paths; a frontier has
                                       none, so the planner's *nominal*
-                                      evaluation stays on the lattice sim)
+                                      evaluation stays on the scalar sim)
 DES semantics (rendezvous exchange,   :func:`execute_analytic` — direct clock
 eager sends, memory ledger); 1f1b /   propagation over the lowered programs,
 sliced / gpipe / interleaved          bit-identical to the event engine
@@ -132,7 +132,7 @@ def _as_cost_matrix(arr, name: str) -> np.ndarray:
 
 
 def _check_comm(comm, k: int):
-    """Validate/normalise comm like PipelineSimBatch: scalar or (K,)."""
+    """Validate/normalise comm: one scalar or a ``(K,)`` row vector."""
     if np.ndim(comm) == 0:
         return float(comm)
     vec = np.ascontiguousarray(comm, dtype=np.float64)
@@ -156,13 +156,13 @@ def frontier_times(
     """Iteration time of ``K`` 1F1B candidates from their stage costs.
 
     ``fwd`` / ``bwd`` are ``(K, num_stages)`` matrices of per-stage
-    forward / backward times (the :class:`PipelineSimBatch` layout);
+    forward / backward times (one candidate per row);
     ``comm`` is a scalar or a ``(K,)`` per-candidate vector.  Returns a
-    ``(K,)`` array of iteration times, bit-identical to
-    ``PipelineSimBatch(fwd, bwd, comm, m).iteration_times()``; with
-    ``want_startup=True`` also returns the ``(K,)`` startup overheads
-    (when the last stage starts its first forward), matching
-    ``.startup_overheads()``.
+    ``(K,)`` array of iteration times, bit-identical to ``K`` scalar
+    ``PipelineSim(StageTimes(fwd[k], bwd[k], comm[k]), m).run()``
+    iteration times; with ``want_startup=True`` also returns the ``(K,)``
+    startup overheads (when the last stage starts its first forward),
+    matching each run's ``startup_overhead``.
     """
     fwd = _as_cost_matrix(fwd, "fwd")
     bwd = _as_cost_matrix(bwd, "bwd")

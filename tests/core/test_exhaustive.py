@@ -97,22 +97,6 @@ class TestPrunedEquivalence:
         assert again.partition.sizes == first.partition.sizes
         assert again.iteration_time == first.iteration_time
 
-    @pytest.mark.parametrize("stages,m", [(3, 6), (4, 8)])
-    def test_incremental_matches_per_node_pruned_path(
-        self, tiny_profile, stages, m
-    ):
-        """Both pruned evaluators return the identical argmin."""
-        per_node = exhaustive_partition(
-            tiny_profile, stages, m, incremental=False
-        )
-        incremental = exhaustive_partition(
-            tiny_profile, stages, m, incremental=True
-        )
-        assert incremental.partition.sizes == per_node.partition.sizes
-        assert incremental.iteration_time == per_node.iteration_time
-        assert incremental.suffix_sims >= 0
-        assert incremental.dominance_pruned >= 0
-
 
 class TestPruneSlack:
     def test_rejects_invalid_slack(self, tiny_profile):

@@ -1,9 +1,9 @@
 """Multiprocess oracle: bit-identity with the serial search.
 
 The contract the ISSUE demands: ``exhaustive_partition(jobs=N)`` returns
-the *bit-identical* argmin of the serial branch-and-bound — same
-partition, same iteration time — for every search mode (incremental,
-pruned, brute, robust) and both comm models.  The shared incumbent bound
+the *bit-identical* argmin of the serial search — same partition, same
+iteration time — for every search mode (kernel-scored branch-and-bound,
+brute force, robust) and both comm models.  The shared incumbent bound
 only ever tightens pruning; every published bound is itself a simulated
 candidate, and the deterministic merge reuses the serial tie-break, so
 worker count and scheduling order must never leak into the result.
@@ -43,11 +43,11 @@ def _assert_same(parallel: ExhaustiveResult, serial: ExhaustiveResult):
 
 class TestOracleBitIdentity:
     @pytest.mark.parametrize("comm_mode", ["paper", "edges"])
-    @pytest.mark.parametrize("incremental", [True, False])
+    @pytest.mark.parametrize("prune", [True, False])
     @pytest.mark.parametrize("jobs", [2, 4])
-    def test_matches_serial(self, comm_mode, incremental, jobs):
+    def test_matches_serial(self, comm_mode, prune, jobs):
         profile = make_profile(_FWD, _BWD, 0.25)
-        kwargs = dict(comm_mode=comm_mode, incremental=incremental)
+        kwargs = dict(comm_mode=comm_mode, prune=prune)
         serial = exhaustive_partition(profile, 5, 8, **kwargs)
         parallel = exhaustive_partition(profile, 5, 8, jobs=jobs, **kwargs)
         _assert_same(parallel, serial)
@@ -127,6 +127,69 @@ class TestPlannerBitIdentity:
         plan_partition(profile, 4, 8, sim_cache=a)
         plan_partition(profile, 4, 8, sim_cache=b, jobs=3)
         assert (a.hits, a.misses) == (b.hits, b.misses)
+
+    @staticmethod
+    def _record_waves(monkeypatch, memo):
+        """Run pool waves inline; log each vector and whether ``memo``
+        already held it when the wave was sent."""
+        sent, leaked = [], []
+
+        def record(pool, waves, num_micro_batches, comm_mode):
+            held = {key[:5] for key in memo._data}
+            for t in waves:
+                key = (t.fwd, t.bwd, t.comm, num_micro_batches, comm_mode)
+                sent.append(key)
+                if key in held:
+                    leaked.append(key)
+            return [
+                PipelineSim(t, num_micro_batches, comm_mode=comm_mode).run()
+                for t in waves
+            ]
+
+        monkeypatch.setattr(CandidatePool, "evaluate", record)
+        return sent, leaked
+
+    def test_prefetch_skips_vectors_already_in_sim_cache(
+        self, gpt2_profile, monkeypatch
+    ):
+        memo = SimCache()
+        _, leaked = self._record_waves(monkeypatch, memo)
+        plan_partition(gpt2_profile, 8, 32, sim_cache=memo, jobs=1,
+                       cache=False)
+        plan_partition(gpt2_profile, 8, 32, sim_cache=memo, jobs=2,
+                       cache=False)
+        assert leaked == []
+
+    def test_prefetch_with_warm_sim_cache_matches_serial(
+        self, gpt2_profile, monkeypatch
+    ):
+        """Waves mixing memo hits and fresh vectors keep the serial
+        history order and memo counters."""
+        warm = SimCache()
+        plan_partition(gpt2_profile, 16, 32, sim_cache=warm,
+                       max_evaluations=3, jobs=1, cache=False)
+
+        def clone():
+            memo = SimCache()
+            for key, sim in warm._data.items():
+                memo.simulate(StageTimes(*key[:3]), key[3], key[4],
+                              runner=lambda s=sim: s)
+            memo.hits = memo.misses = 0
+            return memo
+
+        serial_memo, parallel_memo = clone(), clone()
+        sent, leaked = self._record_waves(monkeypatch, parallel_memo)
+        serial = plan_partition(gpt2_profile, 16, 32, sim_cache=serial_memo,
+                                keep_history=True, jobs=1, cache=False)
+        parallel = plan_partition(gpt2_profile, 16, 32,
+                                  sim_cache=parallel_memo,
+                                  keep_history=True, jobs=2, cache=False)
+        assert sent and leaked == []
+        assert parallel.history == serial.history
+        assert parallel.partition.sizes == serial.partition.sizes
+        assert (parallel_memo.hits, parallel_memo.misses) == (
+            serial_memo.hits, serial_memo.misses
+        )
 
 
 class TestCandidatePool:

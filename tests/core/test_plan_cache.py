@@ -73,9 +73,7 @@ class TestKeying:
         cache = PlanCache(tmp_path)
         profile = _profile()
         a = exhaustive_partition(profile, 4, 8, cache=cache)
-        b = exhaustive_partition(
-            profile, 4, 8, incremental=False, cache=cache
-        )
+        b = exhaustive_partition(profile, 4, 8, prune=False, cache=cache)
         assert len(cache) == 2
         assert a.partition.sizes == b.partition.sizes  # same argmin
 

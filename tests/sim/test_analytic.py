@@ -1,25 +1,25 @@
-"""Property suite: analytic max-plus kernel == lattice sim == event engine.
+"""Property suite: analytic max-plus kernel == scalar sim == event engine.
 
 Bit-identity (not approximate equality) is the contract that lets
-:mod:`repro.sim.analytic` silently replace the lattice simulator as the
-default scorer for the oracle, the robust planner and the robustness
-batch evaluators.  Hypothesis drives randomized stage-cost matrices,
+:mod:`repro.sim.analytic` stand in for the scalar simulator as the
+scorer of the oracle, the robust planner and the robustness batch
+evaluators.  Hypothesis drives randomized stage-cost matrices,
 micro-batch counts, both comm accounting modes, cost jitter and
 perturbation factors, and asserts:
 
 * :func:`frontier_times` / :func:`frontier_times_transposed` reproduce
-  :class:`PipelineSimBatch` (and ``K`` scalar :class:`PipelineSim` runs)
-  bit for bit, including the startup overheads and the mid-sweep sieve;
+  ``K`` scalar :class:`PipelineSim` runs bit for bit, including the
+  startup overheads and the mid-sweep sieve;
 * :func:`robust_iteration_times` / :func:`robust_objective_batch` match
-  per-draw scalar lattice sims under compute-noise, straggler and
+  per-draw scalar sims under compute-noise, straggler and
   comm-degradation factors (the contract the robustness docstrings cite);
 * :func:`execute_analytic` matches the event :class:`Engine` and the
   compiled graph executor on every lowered schedule family, and raises
   :class:`AnalyticUnsupported` on comm wait cycles the engine diagnoses
   as deadlock;
-* ``exhaustive_partition(scorer="analytic")`` returns the identical
-  argmin, tie-breaks and iteration time as the lattice scorer and the
-  unpruned brute force;
+* the default (kernel-scored) ``exhaustive_partition`` returns the
+  identical argmin, tie-breaks and iteration time as the unpruned brute
+  force;
 * the closed-form busy/bubble/memory helpers agree with
   :meth:`SimResult.stage_busy_time` / :meth:`SimResult.bubble_fraction`
   and the planner's 1F1B memory model.
@@ -35,7 +35,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from repro.baselines.megatron import uniform_partition
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
-from repro.core.analytic_sim import PipelineSim, PipelineSimBatch
+from repro.core.analytic_sim import PipelineSim
 from repro.core.exhaustive import exhaustive_partition
 from repro.core.partition import PartitionScheme, StageTimes, stage_times
 from repro.core.slicer import SlicePlan, make_slice_plan
@@ -85,7 +85,7 @@ def _cost_matrices(k, n, seed, tie_heavy=False):
     return fwd, bwd
 
 
-# -- frontier sweep vs lattice batch sim ------------------------------------
+# -- frontier sweep vs K scalar sims ----------------------------------------
 
 
 def _note_phase(n, m, comm_mode):
@@ -121,13 +121,10 @@ def test_frontier_equals_lattice_batch(
         comm = float(rng.uniform(0.0, 0.6))
     else:
         comm = rng.uniform(0.0, 0.6, size=k)
-    batch = PipelineSimBatch(fwd, bwd, comm, m, comm_mode=comm_mode)
     times, startup = frontier_times(
         fwd, bwd, comm, m, comm_mode=comm_mode, want_startup=True
     )
-    assert np.array_equal(times, batch.iteration_times())
-    assert np.array_equal(startup, batch.startup_overheads())
-    # ... and bitwise what K scalar lattice sims produce.
+    # Bitwise what K scalar sims produce.
     comm_vec = np.broadcast_to(np.asarray(comm, dtype=np.float64), (k,))
     for i in range(k):
         sim = PipelineSim(
@@ -357,7 +354,7 @@ def test_deadlock_raises_analytic_unsupported():
     assert "event" in str(err.value)
 
 
-# -- oracle equivalence: analytic scorer == lattice scorer == brute ---------
+# -- oracle equivalence: kernel-scored search == brute force ----------------
 
 _ORACLE_MODEL = ModelConfig(
     name="prop", num_layers=1, hidden_size=64, num_heads=4
@@ -406,11 +403,10 @@ def test_oracle_identical_argmin_and_tiebreaks(
         ]
     prof = _synthetic_profile(costs, comm)
     kw = dict(comm_mode=comm_mode, planner_warm_start=False)
-    ana = exhaustive_partition(prof, p, m, scorer="analytic", **kw)
-    lat = exhaustive_partition(prof, p, m, scorer="lattice", **kw)
+    ana = exhaustive_partition(prof, p, m, **kw)
     bru = exhaustive_partition(prof, p, m, prune=False, **kw)
-    assert ana.partition.sizes == lat.partition.sizes == bru.partition.sizes
-    assert ana.iteration_time == lat.iteration_time == bru.iteration_time
+    assert ana.partition.sizes == bru.partition.sizes
+    assert ana.iteration_time == bru.iteration_time
     assert ana.evaluations <= bru.evaluations
 
 
