@@ -1,6 +1,6 @@
 """Baseline-planner DP kernels: vectorized vs scalar, DAPPLE's batched
-candidate scoring, and the batched slice-count autotune sweep vs
-per-candidate DES.
+candidate scoring, and the batched slice-count autotune sweep vs one
+event-engine run per slice count.
 
 Writes the ``baseline_dp``, ``dapple_scoring`` and ``autotune_batched``
 sections of ``BENCH_search.json``.  Guards:
@@ -14,12 +14,14 @@ sections of ``BENCH_search.json``.  Guards:
   scalar ``PipelineSim`` per candidate picks (bit-equal predicted time)
   and plan the 64-GPU cell >= 3x faster than that reference;
 * the batched slice sweep must pick the identical autotune winner and
-  run >= 3x faster than the one-DES-per-candidate reference.
+  run >= 3x faster than the same search with each slice count executed
+  by ``run_pipeline(..., executor="event")``.
 """
 
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 from benchmarks.conftest import run_and_print
 from benchmarks.test_bench_ablation_search import (
@@ -31,11 +33,14 @@ from repro.baselines.piper import plan_piper
 from repro.config import TrainConfig
 from repro.core.analytic_sim import PipelineSim
 from repro.core.partition import StageTimes
+from repro.core.slicer import SlicePlan
 from repro.core.strategy import autotune_config
 from repro.experiments.common import ExperimentResult
 from repro.hardware.device import DEFAULT_CLUSTER_HW, rtx3090_cluster
 from repro.models.zoo import GPT2_1_3B, GPT2_345M
 from repro.profiling import profile_model
+from repro.runtime.trainer import run_pipeline
+from repro.sim import slice_eval
 
 #: Table III scale: the paper's full 4x4 testbed (16 GPUs) on the
 #: GPT-2 345M sweep cell.
@@ -207,22 +212,48 @@ def test_bench_dapple_scoring(benchmark):
     })
 
 
+def _event_slice_sweep(
+    profile, partition, m, slice_counts, *, cluster=None, **_unused
+):
+    """The per-count reference: one event-engine run per slice count."""
+    executions = []
+    for num_sliced in slice_counts:
+        if num_sliced == 0:
+            executions.append(run_pipeline(
+                profile, partition, m, cluster=cluster, executor="event",
+            ))
+        else:
+            executions.append(run_pipeline(
+                profile, partition, m, schedule="sliced",
+                slice_plan=SlicePlan(
+                    num_sliced=num_sliced, num_micro_batches=m
+                ),
+                cluster=cluster, executor="event",
+            ))
+    return executions
+
+
+def _autotune_per_count_event(profile, num_gpus):
+    with mock.patch.object(
+        slice_eval, "evaluate_slice_counts", _event_slice_sweep
+    ):
+        return autotune_config(profile, num_gpus)
+
+
 def run_autotune_batched():
     train = TrainConfig(micro_batch_size=4, global_batch_size=4 * 32)
     profile = profile_model(TINY12, DEFAULT_CLUSTER_HW, train)
     per_s, per = _best_of(
-        lambda: autotune_config(profile, 8, batched_slices=False), reps=3,
+        lambda: _autotune_per_count_event(profile, 8), reps=3,
     )
-    bat_s, bat = _best_of(
-        lambda: autotune_config(profile, 8, batched_slices=True), reps=3,
-    )
+    bat_s, bat = _best_of(lambda: autotune_config(profile, 8), reps=3)
     result = ExperimentResult(
-        name="Autotune slice sweep: per-candidate DES vs batched "
-             "family relaxation (tiny12, 8 GPUs, m=32)",
+        name="Autotune slice sweep: one event-engine run per count vs "
+             "batched skeleton relaxation (tiny12, 8 GPUs, m=32)",
         headers=["mode", "wall (ms)", "speedup", "best layout", "slices"],
     )
     result.rows.append([
-        "per-candidate", f"{per_s * 1e3:.1f}", "1.0x",
+        "per-count-event", f"{per_s * 1e3:.1f}", "1.0x",
         str(per.best.layout), per.best.slice_count,
     ])
     result.rows.append([
@@ -245,12 +276,12 @@ def test_bench_autotune_batched(benchmark):
     )
     assert result.meta["speedup"] >= 3.0, (
         f"batched slice sweep managed only {result.meta['speedup']:.1f}x "
-        "over per-candidate DES — below the 3x acceptance bar"
+        "over one event-engine run per count — below the 3x acceptance bar"
     )
     merge_into_search_results("autotune_batched", {
         "setting": "tiny12 (27 blocks), 8 GPUs, m=32, joint search; "
-                   "slice sweep batched through family-cached graph "
-                   "structures vs one DES run per candidate",
+                   "slice sweep batched through cached graph skeletons "
+                   "vs run_pipeline(executor='event') per slice count",
         "rows": [
             {
                 "mode": row[0], "wall_ms": float(row[1]),

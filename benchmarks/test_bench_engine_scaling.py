@@ -9,27 +9,33 @@ artifact — it guards the two hot paths the evaluation sweeps lean on:
   :class:`SimCache` that deduplicates analytic simulations across calls.
 
 The measured numbers are written to ``BENCH_engine.json`` at the repo
-root so before/after comparisons survive the run.  The only hard assert
-is a *generous absolute budget* on the deepest DES case: the seed's
+root so before/after comparisons survive the run.  The DES guard is a
+*generous absolute budget* on the deepest case: the seed's
 polling-sweep engine needed ~7.5 ms for the 12-stage Fig. 10 pipeline
 and the ready-queue engine ~0.75 ms, so a 50 ms ceiling only trips on a
 genuine algorithmic regression (e.g. the quadratic sweep coming back),
-never on machine noise.
+never on machine noise.  The ``cold_profile`` section times
+``run_pipeline`` end to end on a freshly jittered profile (the regime of
+sweeps that execute every candidate once) and guards it at >= 10x over
+the event engine at depth 32.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 import time
 from pathlib import Path
 
 from repro.baselines.megatron import uniform_partition
 from repro.core.planner import SimCache, plan_partition
+from repro.core.slicer import SlicePlan
 from repro.experiments.common import make_profile
 from repro.experiments.deep_pipeline import DEEP_GPT, DEEP_HW
 from repro.hardware.cluster import Cluster
 from repro.models.zoo import BERT_LARGE, GPT2_345M
-from repro.runtime.trainer import build_schedule
+from repro.runtime.trainer import build_schedule, run_pipeline
 from repro.sim.engine import Engine
 from repro.sim.graph_exec import compile_graph, run_batch
 
@@ -39,6 +45,21 @@ COMPILED_DEPTHS = (8, 16, 32, 64)
 #: Wall-clock ceiling for one 12-stage Fig. 10 DES run.  Seed: ~7.5 ms,
 #: event-driven engine: ~0.75 ms.  Generous so only regressions trip it.
 DES_BUDGET_12_STAGE_SECONDS = 0.050
+#: depths and schedules of the cold-profile ``run_pipeline`` section.
+COLD_DEPTHS = (8, 16, 32)
+COLD_SCHEDULES = ("1f1b", "sliced", "gpipe")
+#: the cold-profile run_pipeline guard at depth 32: graph vs event.
+COLD_SPEEDUP_BAR = 10.0
+#: ``run_pipeline(executor="graph")`` seconds per cold-profile call
+#: before schedule shapes were compiled once, when every call built,
+#: lowered and walked a Schedule (same settings as
+#: ``test_bench_cold_profile_run_pipeline``; best of 5 on a 2-vCPU x86
+#: VM, Python 3.11.7).
+COLD_BEFORE_SECONDS = {
+    "1f1b": {"8": 0.0109, "16": 0.0436, "32": 0.218},
+    "sliced": {"8": 0.0143, "16": 0.0538, "32": 0.265},
+    "gpipe": {"8": 0.0083, "16": 0.0436, "32": 0.313},
+}
 
 _RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
@@ -201,6 +222,122 @@ def test_bench_compiled_vs_event(benchmark):
         f"compiled executor speedup at depth>=32 fell to "
         f"{max(deep_speedups):.1f}x (< 5x acceptance bar)"
     )
+
+
+def _jittered(profile, seed: int):
+    """A same-shape profile with fresh block costs (a cold cost vector)."""
+    rng = random.Random(seed)
+    blocks = tuple(
+        dataclasses.replace(
+            bp,
+            fwd_time=bp.fwd_time * (0.5 + rng.random()),
+            bwd_time=bp.bwd_time * (0.5 + rng.random()),
+        )
+        for bp in profile.blocks
+    )
+    return dataclasses.replace(profile, blocks=blocks)
+
+
+def _cold_setting(depth: int, schedule: str):
+    """Base profile, partition, m and schedule kwargs of one cold cell."""
+    m = 2 * depth
+    profile = make_profile(DEEP_GPT, 4, m, hardware=DEEP_HW)
+    partition = uniform_partition(profile, depth)
+    kwargs = {"schedule": schedule}
+    if schedule == "sliced":
+        kwargs["slice_plan"] = SlicePlan(
+            num_sliced=depth // 2, num_micro_batches=m
+        )
+    return profile, partition, m, kwargs
+
+
+def time_cold_profile(depth: int, schedule: str, executor: str = "graph",
+                      reps: int = 5) -> float:
+    """Best-of-``reps`` seconds of one ``run_pipeline`` on a fresh profile.
+
+    One untimed call first warms whatever the executor caches per shape;
+    every timed call then runs on a profile it has never seen.
+    """
+    profile, partition, m, kwargs = _cold_setting(depth, schedule)
+    run_pipeline(profile, partition, m, executor=executor, **kwargs)
+    best = float("inf")
+    for seed in range(reps):
+        fresh = _jittered(profile, seed)
+        t0 = time.perf_counter()
+        run_pipeline(fresh, partition, m, executor=executor, **kwargs)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_bench_cold_profile_run_pipeline(benchmark):
+    """End-to-end ``run_pipeline`` on fresh profiles with warm skeletons.
+
+    ``compiled_graph.by_depth`` times only a warm ``graph.run()``; this
+    section adds everything around it that a sweep pays per candidate.
+    """
+    rows = {}
+    for schedule in COLD_SCHEDULES:
+        for depth in COLD_DEPTHS:
+            rows.setdefault(schedule, {})[str(depth)] = {
+                "graph_seconds": time_cold_profile(depth, schedule),
+                "before_seconds": COLD_BEFORE_SECONDS[schedule][str(depth)],
+            }
+    deep = str(COLD_DEPTHS[-1])
+    for schedule in COLD_SCHEDULES:
+        row = rows[schedule][deep]
+        row["event_seconds"] = time_cold_profile(
+            COLD_DEPTHS[-1], schedule, executor="event", reps=2
+        )
+        row["speedup_vs_event"] = row["event_seconds"] / row["graph_seconds"]
+        # Same profile, both executors: bit-identical iteration time.
+        profile, partition, m, kwargs = _cold_setting(
+            COLD_DEPTHS[-1], schedule
+        )
+        fresh = _jittered(profile, 99)
+        assert run_pipeline(
+            fresh, partition, m, **kwargs
+        ).iteration_time == run_pipeline(
+            fresh, partition, m, executor="event", **kwargs
+        ).iteration_time
+    for by_depth in rows.values():
+        for row in by_depth.values():
+            row["speedup_vs_before"] = (
+                row["before_seconds"] / row["graph_seconds"]
+            )
+
+    benchmark.pedantic(
+        time_cold_profile, args=(COLD_DEPTHS[-1], "1f1b"),
+        kwargs={"reps": 1}, rounds=1, iterations=1,
+    )
+
+    print()
+    for schedule, by_depth in rows.items():
+        for depth, row in by_depth.items():
+            print(
+                f"cold {schedule:6s} depth {depth:>2s}: "
+                f"{row['graph_seconds'] * 1e3:8.3f} ms"
+                + (f"  event {row['event_seconds'] * 1e3:8.1f} ms"
+                   if "event_seconds" in row else "")
+            )
+
+    _merge_into_results("cold_profile", {
+        "setting": (
+            "run_pipeline on a freshly jittered gpt-deep-128 profile, "
+            "uniform partition, m=2*depth, sliced with depth//2 sliced "
+            "micro-batches; one untimed warm-up call per cell, then best "
+            "of 5 fresh profiles (event: best of 2)"
+        ),
+        "by_schedule": rows,
+        "speedup_bar_vs_event": COLD_SPEEDUP_BAR,
+    })
+
+    for schedule in COLD_SCHEDULES:
+        speedup = rows[schedule][deep]["speedup_vs_event"]
+        assert speedup >= COLD_SPEEDUP_BAR, (
+            f"cold-profile run_pipeline ({schedule}, depth {deep}) is only "
+            f"{speedup:.1f}x faster than the event engine "
+            f"(< {COLD_SPEEDUP_BAR:.0f}x)"
+        )
 
 
 def test_bench_planner_search(benchmark):

@@ -23,7 +23,6 @@ from repro.runtime.trainer import set_default_executor
 #: CLI spellings -> trainer executor names ("compiled" reads better on
 #: the command line than the internal "graph" tag).
 _EXECUTOR_CHOICES = {
-    "analytic": "analytic",
     "compiled": "graph",
     "event": "event",
 }
@@ -188,10 +187,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=sorted(_EXECUTOR_CHOICES),
         default=None,
         help="schedule executor for pipeline runs: 'compiled' "
-             "(static-graph fast path, the default), 'event' (per-op "
-             "DES) or 'analytic' (graph-free clock interpreter; "
-             "schedules it cannot represent raise a clear error naming "
-             "the fallback)",
+             "(static-graph fast path, the default) or 'event' (per-op "
+             "DES, the reference spec and deadlock diagnoser)",
     )
     args = parser.parse_args(argv)
     if args.jobs < 1:

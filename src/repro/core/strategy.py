@@ -245,7 +245,6 @@ def autotune_config(
     jobs: Optional[int] = None,
     cache=None,
     oracle_max_space: int = 50_000,
-    batched_slices: bool = True,
 ) -> AutotuneResult:
     """Joint (data-parallel x pipeline-depth x slice-count) search.
 
@@ -273,20 +272,17 @@ def autotune_config(
     depth-infeasible ones with ``"X"``; raises ``RuntimeError`` when no
     candidate is feasible.
 
-    ``batched_slices`` (default on) routes each layout's slice-count
-    sweep through :func:`repro.sim.slice_eval.evaluate_slice_counts`,
-    which emits the compiled DAG of every candidate directly (no
-    Schedule objects or instruction lowering) onto family-cached graph
-    structures and relaxes structure-sharing candidates in one batch —
-    bit-identical results (property-tested), several times faster.
-    ``batched_slices=False`` keeps the one-``run_pipeline``-per-count
-    reference path.
+    Each layout's slice-count sweep runs through
+    :func:`repro.sim.slice_eval.evaluate_slice_counts`, which fills the
+    cached graph skeleton of every candidate's shape (the same path as
+    ``run_pipeline``) and relaxes skeleton-sharing candidates in one
+    batch — bit-identical to one event-engine run per count
+    (property-tested).
     """
     from repro.core.exhaustive import count_partitions, exhaustive_partition
-    from repro.core.slicer import SlicePlan, solve_slice_count
+    from repro.core.slicer import solve_slice_count
     from repro.hardware.cluster import Cluster
     from repro.parallel.grid import layouts_for
-    from repro.runtime.trainer import run_pipeline
     from repro.sim.slice_eval import evaluate_slice_counts
 
     tel = _obs.current()
@@ -388,22 +384,9 @@ def autotune_config(
         except ValueError:
             alg2 = 0
         slice_counts = list(layout.slice_candidates(train))
-        if batched_slices:
-            executions = evaluate_slice_counts(
-                profile, partition, m, slice_counts, cluster=cluster,
-            )
-        else:
-            executions = []
-            for num_sliced in slice_counts:
-                if num_sliced == 0:
-                    executions.append(run_pipeline(profile, partition, m))
-                else:
-                    executions.append(run_pipeline(
-                        profile, partition, m, schedule="sliced",
-                        slice_plan=SlicePlan(
-                            num_sliced=num_sliced, num_micro_batches=m
-                        ),
-                    ))
+        executions = evaluate_slice_counts(
+            profile, partition, m, slice_counts, cluster=cluster,
+        )
         for num_sliced, execution in zip(slice_counts, executions):
             candidates.append(AutotuneCandidate(
                 layout=layout,

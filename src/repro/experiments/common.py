@@ -29,7 +29,6 @@ from repro.hardware.device import DEFAULT_CLUSTER_HW
 from repro.profiling import ModelProfile, profile_model
 from repro.runtime.trainer import resolve_executor, run_pipeline
 from repro.schedules.interleaved import InterleavedInfeasible, build_interleaved
-from repro.sim.analytic import execute_analytic
 from repro.sim.engine import Engine
 from repro.sim.graph_exec import execute_fast
 
@@ -87,10 +86,6 @@ def run_method(
             devices = cluster.pipeline_devices(num_stages)
             if executor == "event":
                 execution = Engine(schedule, cluster, device_map=devices).run()
-            elif executor == "analytic":
-                execution = execute_analytic(
-                    schedule, cluster, device_map=devices
-                )
             else:
                 execution = execute_fast(schedule, cluster, device_map=devices)
         else:

@@ -9,11 +9,29 @@ communication cost ``Comm`` used by the recurrence simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.models.blocks import Block
+
+
+def _check_costs(obj: object, names: Sequence[str]) -> None:
+    """Reject non-finite or negative cost fields at construction.
+
+    Profiles are the one boundary every cost enters through, so the
+    schedules, simulators and planners downstream can assume finite,
+    non-negative durations and byte counts (``nan < 0`` is false, so a
+    plain sign check would let NaN through).
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(
+                f"{type(obj).__name__}.{name} must be finite and "
+                f"non-negative, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -32,8 +50,10 @@ class BlockProfile:
     workspace_bytes: float
 
     def __post_init__(self) -> None:
-        if self.fwd_time < 0 or self.bwd_time < 0:
-            raise ValueError("block times must be non-negative")
+        _check_costs(self, (
+            "fwd_time", "bwd_time", "params", "activation_out_bytes",
+            "stash_bytes", "workspace_bytes",
+        ))
 
     @property
     def total_time(self) -> float:
@@ -56,6 +76,7 @@ class ModelProfile:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("a ModelProfile needs at least one block")
+        _check_costs(self, ("comm_time", "boundary_bytes"))
         for i, bp in enumerate(self.blocks):
             if bp.block.index != i:
                 raise ValueError(

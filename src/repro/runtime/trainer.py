@@ -21,18 +21,13 @@ from repro.schedules.base import Schedule
 from repro.schedules.gpipe import build_gpipe
 from repro.schedules.one_f_one_b import build_1f1b
 from repro.schedules.sliced import build_sliced
-from repro.sim.analytic import execute_analytic
 from repro.sim.engine import Engine, ExecutionResult
-from repro.sim.graph_exec import execute_fast
+from repro.sim.slice_eval import compile_slice_graph
 
 #: executors by name.  ``"graph"`` is the compiled static-graph fast
-#: path (with its own engine fallback for graphs the compiler rejects),
-#: ``"event"`` the per-op DES, ``"analytic"`` the graph-free clock
-#: interpreter of :mod:`repro.sim.analytic` — bit-identical to the
-#: engine on every schedule it can represent, and raising
-#: :class:`~repro.sim.analytic.AnalyticUnsupported` (with the fallback
-#: instruction) on programs whose dataflow it cannot order.
-EXECUTORS = ("graph", "event", "analytic")
+#: path, ``"event"`` the per-op DES that serves as its spec and as the
+#: deadlock diagnoser.
+EXECUTORS = ("graph", "event")
 
 _DEFAULT_EXECUTOR = "graph"
 
@@ -82,18 +77,12 @@ class IterationResult:
         return self.execution.oom
 
 
-def build_schedule(
-    profile: ModelProfile,
-    partition: PartitionScheme,
-    num_micro_batches: int,
-    schedule: str = "1f1b",
-    slice_plan: Optional[SlicePlan] = None,
-) -> Schedule:
-    """Dispatch to the named schedule builder."""
-    if schedule == "1f1b":
-        return build_1f1b(profile, partition, num_micro_batches)
-    if schedule == "gpipe":
-        return build_gpipe(profile, partition, num_micro_batches)
+def _slice_plan_for(
+    num_micro_batches: int, schedule: str, slice_plan: Optional[SlicePlan]
+) -> Optional[SlicePlan]:
+    """Validate a schedule request; the sliced schedule's plan, or None."""
+    if schedule in ("1f1b", "gpipe"):
+        return None
     if schedule == "sliced":
         if slice_plan is None:
             raise ValueError("the sliced schedule needs a SlicePlan")
@@ -102,8 +91,24 @@ def build_schedule(
                 f"slice plan covers {slice_plan.num_micro_batches} "
                 f"micro-batches, run uses {num_micro_batches}"
             )
-        return build_sliced(profile, partition, slice_plan)
+        return slice_plan
     raise ValueError(f"unknown schedule {schedule!r}")
+
+
+def build_schedule(
+    profile: ModelProfile,
+    partition: PartitionScheme,
+    num_micro_batches: int,
+    schedule: str = "1f1b",
+    slice_plan: Optional[SlicePlan] = None,
+) -> Schedule:
+    """Dispatch to the named schedule builder."""
+    plan = _slice_plan_for(num_micro_batches, schedule, slice_plan)
+    if schedule == "1f1b":
+        return build_1f1b(profile, partition, num_micro_batches)
+    if schedule == "gpipe":
+        return build_gpipe(profile, partition, num_micro_batches)
+    return build_sliced(profile, partition, plan)
 
 
 def run_pipeline(
@@ -119,25 +124,36 @@ def run_pipeline(
     """Execute the pipeline portion of one iteration on the DES.
 
     ``executor`` selects the substrate (default: the process-wide
-    ``--executor`` setting, ``"graph"`` when unset): ``"graph"`` runs
-    the compiled static-graph fast path (bit-identical to the event
-    engine, with an automatic fallback for schedules the compiler
-    rejects); ``"event"`` forces the per-op event loop — useful when
-    stepping through a run or comparing executors; ``"analytic"`` runs
-    the graph-free clock interpreter, which raises
-    :class:`~repro.sim.analytic.AnalyticUnsupported` with a clear
-    fallback instruction on schedules it cannot represent.
+    ``--executor`` setting, ``"graph"`` when unset).  ``"graph"`` fills
+    the cached skeleton of the schedule's shape with this call's costs
+    (:func:`repro.sim.slice_eval.compile_slice_graph`) and relaxes it —
+    no Schedule objects are built — bit-identical to the event engine.
+    ``"event"`` builds the schedule and runs the per-op event loop, the
+    spec: useful when stepping through a run or comparing executors.
     """
     if cluster is None:
         cluster = Cluster(profile.hardware)
-    built = build_schedule(profile, partition, num_micro_batches, schedule, slice_plan)
-    devices = cluster.pipeline_devices(partition.num_stages)
     executor = resolve_executor(executor)
-    if executor == "graph":
-        return execute_fast(built, cluster, device_map=devices)
     if executor == "event":
+        built = build_schedule(
+            profile, partition, num_micro_batches, schedule, slice_plan
+        )
+        devices = cluster.pipeline_devices(partition.num_stages)
         return Engine(built, cluster, device_map=devices).run()
-    return execute_analytic(built, cluster, device_map=devices)
+    plan = _slice_plan_for(num_micro_batches, schedule, slice_plan)
+    devices = cluster.pipeline_devices(partition.num_stages)
+    if plan is None:
+        graph = compile_slice_graph(
+            profile, partition, num_micro_batches, 0, cluster, devices,
+            schedule=schedule,
+        )
+    else:
+        graph = compile_slice_graph(
+            profile, partition, num_micro_batches, plan.num_sliced,
+            cluster, devices, schedule="sliced",
+            aggregate=plan.aggregate_last_warmup_comm,
+        )
+    return graph.run()
 
 
 def _optimizer_seconds(profile: ModelProfile, partition: PartitionScheme) -> float:

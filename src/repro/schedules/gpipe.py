@@ -4,6 +4,12 @@ Included as a secondary baseline/teaching schedule: it maximises bubble
 time at small micro-batch counts and stashes *every* micro-batch (memory
 grows with ``m``), which is why 1F1B replaced it.  Communication is
 buffered (GPipe's fill-drain pattern has no bidirectional pairing).
+
+Maintenance note: ``repro.sim.slice_eval.family_walk`` mirrors this
+builder's program loop to emit the compiled graph skeleton directly;
+``run_pipeline(executor="graph")`` never calls the builder.  The emitter
+and the builder must change together — ``tests/sim/test_slice_eval.py``
+asserts they stay bit-identical.
 """
 
 from __future__ import annotations

@@ -13,6 +13,13 @@ for the AutoPipe schedule built on top of this module):
 
 The builder is parameterised by the unit sequence and by an optional
 per-unit communication override used by the sliced schedule.
+
+Maintenance note: ``repro.sim.slice_eval.family_walk`` mirrors
+:func:`build_unit_1f1b`'s program loop to emit the compiled graph
+skeleton directly, and ``family_atoms`` reuses :class:`_StageCosts`'
+expressions; ``run_pipeline(executor="graph")`` never calls this
+builder.  The emitter and the builder must change together —
+``tests/sim/test_slice_eval.py`` asserts they stay bit-identical.
 """
 
 from __future__ import annotations

@@ -15,11 +15,13 @@ synchronous and reproduces the warmup blockage the paper describes (the
 ablation in the benchmarks).
 
 Maintenance note: ``repro.sim.slice_eval.family_walk`` emits the compiled
-graph of this schedule family *directly* (no Schedule object, no
-instruction lowering) for the autotuner's batched slice-count sweeps.  Any
-change to the unit order, exchange fusion or eager policy here must be
-mirrored there; ``tests/sim/test_slice_eval.py`` asserts the two paths
-stay bit-identical.
+graph skeleton of this schedule *directly* (no Schedule object, no
+instruction lowering); ``run_pipeline`` and the autotuner execute that
+skeleton, and only the event engine runs this builder.  The emitter and
+the builder must change together: any change to the unit order, exchange
+fusion or eager policy here must be mirrored there.
+``tests/sim/test_slice_eval.py`` asserts the two paths stay
+bit-identical.
 """
 
 from __future__ import annotations

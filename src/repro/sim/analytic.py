@@ -67,50 +67,30 @@ per-op critical path, master stage    :class:`~repro.core.analytic_sim.
                                       consumes critical paths; a frontier has
                                       none, so the planner's *nominal*
                                       evaluation stays on the scalar sim)
-DES semantics (rendezvous exchange,   :func:`execute_analytic` — direct clock
-eager sends, memory ledger); 1f1b /   propagation over the lowered programs,
-sliced / gpipe / interleaved          bit-identical to the event engine
-cyclic comm, deadlocking programs     fall back to the event engine
-                                      (:class:`~repro.sim.engine.Engine`);
-                                      :func:`execute_analytic` raises
-                                      :class:`AnalyticUnsupported`
+DES semantics (rendezvous exchange,   :func:`~repro.sim.slice_eval.
+eager sends, memory ledger); 1f1b /   compile_slice_graph` (cached skeleton
+sliced / gpipe                        + atom gather) for 1f1b / sliced /
+                                      gpipe, :func:`~repro.sim.graph_exec.
+                                      execute_fast` for other schedules
+cyclic comm, deadlocking programs     the event engine
+                                      (:class:`~repro.sim.engine.Engine`),
+                                      which diagnoses the deadlock
 ====================================  =========================================
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.hardware.cluster import Cluster
-from repro.schedules.base import Schedule
-from repro.sim.engine import (
-    _COMPUTE,
-    _EAGER,
-    _RENDEZVOUS,
-    ExecutionResult,
-    lower_programs,
-)
-
 __all__ = [
-    "AnalyticUnsupported",
     "frontier_times",
     "frontier_times_transposed",
     "stage_busy_times",
     "bubble_fractions",
     "peak_inflight_memory",
-    "execute_analytic",
 ]
-
-
-class AnalyticUnsupported(RuntimeError):
-    """The analytic executor cannot represent this schedule.
-
-    Raised when direct clock propagation stalls (a communication wait
-    cycle that only the event engine's diagnosis can untangle).  Re-run
-    with ``executor="event"`` for a per-device deadlock report.
-    """
 
 
 #: Relative pad applied to the mid-sweep sieve limit: a column is only
@@ -627,151 +607,3 @@ def peak_inflight_memory(
     )
     return static + in_flight * stash + workspace
 
-
-# -- direct clock propagation over lowered programs -------------------------
-
-
-def execute_analytic(
-    schedule: Schedule,
-    cluster: Cluster,
-    *,
-    device_map: Optional[List[int]] = None,
-) -> ExecutionResult:
-    """Execute a schedule by direct clock propagation — no event loop.
-
-    Walks each device's lowered instruction tuples in program order,
-    propagating per-device clocks through rendezvous pairings and eager
-    deposits until a fixed point.  Every clock update uses the same IEEE
-    expressions as :class:`~repro.sim.engine.Engine`, and the dataflow
-    is deterministic, so the result — iteration time, per-device events,
-    memory peaks, OOM flags — is bit-identical to the event engine for
-    every schedule the engine can complete (property-tested).
-
-    Programs that cannot reach the fixed point (a communication wait
-    cycle) raise :class:`AnalyticUnsupported`; fall back to
-    ``executor="event"`` for the engine's per-device deadlock diagnosis.
-    """
-    n = schedule.num_devices
-    if device_map is None:
-        device_map = list(range(n))
-    if len(device_map) != n:
-        raise ValueError("device_map must cover every schedule device")
-    for d in device_map:
-        cluster._check(d)
-    programs = lower_programs(schedule, cluster, device_map)
-
-    pc = [0] * n
-    clock = [0.0] * n
-    held = [0.0] * n
-    peak = [0.0] * n
-    posts = {}      # (pair, tag_set) -> (device, ready_time)
-    deposits = {}   # eager tag -> arrival time
-    events: List[tuple] = []
-    remaining = sum(len(p) for p in programs)
-
-    while remaining:
-        progressed = False
-        for dev in range(n):
-            program = programs[dev]
-            while pc[dev] < len(program):
-                instr = program[pc[dev]]
-                code = instr[0]
-
-                if code == _COMPUTE:
-                    _, label, duration, alloc, free, workspace, kind, phase \
-                        = instr
-                    start = clock[dev]
-                    end = start + duration
-                    h = held[dev] + alloc
-                    if h + workspace > peak[dev]:
-                        peak[dev] = h + workspace
-                    held[dev] = h - free
-                    clock[dev] = end
-                    events.append((dev, kind, label, start, end, phase))
-
-                elif code == _RENDEZVOUS:
-                    _, label, key, _peer, exch = instr
-                    posted = posts.get(key)
-                    if posted is None or posted[0] == dev:
-                        if posted is None:
-                            posts[key] = (dev, clock[dev])
-                        break  # parked until the peer arrives
-                    peer, peer_ready = posted
-                    del posts[key]
-                    start = max(clock[dev], peer_ready)
-                    end = start + exch
-                    clock[dev] = end
-                    clock[peer] = end
-                    pc[peer] += 1
-                    remaining -= 1
-                    progressed = True
-                    events.append((dev, "comm", label, start, end, ""))
-                    events.append((peer, "comm", label, start, end, ""))
-
-                else:  # _EAGER
-                    _, label, recvs, sends, wait_label, latency = instr
-                    start = clock[dev]
-                    t = start
-                    comm_begin = start
-                    if recvs:
-                        arrivals = []
-                        missing = False
-                        for tag, _dur in recvs:
-                            arrival = deposits.get(tag)
-                            if arrival is None:
-                                missing = True
-                                break
-                            arrivals.append(arrival)
-                        if missing:
-                            break  # parked until the deposit lands
-                        for tag, _dur in recvs:
-                            del deposits[tag]
-                        t = max(start, *arrivals)
-                        if t > start:
-                            comm_begin = max(
-                                start,
-                                min(
-                                    arrival - dur
-                                    for (_tag, dur), arrival
-                                    in zip(recvs, arrivals)
-                                ),
-                            )
-                            if comm_begin > start:
-                                events.append(
-                                    (dev, "idle", wait_label,
-                                     start, comm_begin, "")
-                                )
-                    if sends:
-                        for tag, dur in sends:
-                            deposits[tag] = t + dur
-                        t += latency
-                    clock[dev] = t
-                    events.append((dev, "comm", label, comm_begin, t, ""))
-
-                pc[dev] += 1
-                remaining -= 1
-                progressed = True
-        if remaining and not progressed:
-            blocked = [
-                f"dev{d}: op {pc[d]}/{len(programs[d])} "
-                f"{programs[d][pc[d]][1]}"
-                for d in range(n) if pc[d] < len(programs[d])
-            ]
-            raise AnalyticUnsupported(
-                "clock propagation stalled (communication wait cycle): "
-                + "; ".join(blocked)
-                + " — re-run with executor='event' for a full diagnosis"
-            )
-
-    iteration_time = max((e[4] for e in events), default=0.0)
-    peaks = [schedule.static_bytes[d] + peak[d] for d in range(n)]
-    capacity = cluster.hw.gpu_memory
-    ooms = [d for d in range(n) if peaks[d] > capacity]
-    return ExecutionResult(
-        schedule_name=schedule.name,
-        iteration_time=iteration_time,
-        peak_memory=peaks,
-        oom_devices=ooms,
-        num_devices=n,
-        raw_events=events,
-    )

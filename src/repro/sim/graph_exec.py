@@ -380,35 +380,67 @@ def structure_cache_info() -> Tuple[int, int]:
 
 
 class CompiledGraph:
-    """One schedule lowered onto a (possibly shared) graph structure."""
+    """One schedule's cost arrays laid over a (possibly shared) structure.
+
+    Built from a walk by :meth:`from_walk`, or by the schedule-family
+    fast path (:mod:`repro.sim.slice_eval`), which gathers the arrays
+    straight from a cached skeleton's atom indices.
+    """
 
     __slots__ = (
         "structure", "schedule_name", "num_devices", "static_bytes",
-        "capacity", "node_add", "edge_w_walk", "recv_durs", "node_add_lvl",
+        "capacity", "edge_w_walk", "recv_durs", "node_add_lvl",
         "edge_w_lvl", "mem_deltas", "workspace", "_peaks",
     )
 
     def __init__(
         self,
         structure: GraphStructure,
-        walk: _Walk,
         schedule_name: str,
         static_bytes: Sequence[float],
         capacity: float,
+        *,
+        node_add_lvl: np.ndarray,
+        edge_w_walk: np.ndarray,
+        edge_w_lvl: np.ndarray,
+        recv_durs: np.ndarray,
+        mem_deltas: np.ndarray,
+        workspace: np.ndarray,
     ) -> None:
         self.structure = structure
         self.schedule_name = schedule_name
         self.num_devices = len(structure.records)
         self.static_bytes = list(static_bytes)
         self.capacity = capacity
-        self.node_add = np.asarray(walk.node_add, dtype=np.float64)
-        self.edge_w_walk = np.asarray(walk.e_w, dtype=np.float64)
-        self.recv_durs = np.asarray(walk.recv_durs, dtype=np.float64)
-        self.node_add_lvl = self.node_add[structure.node_order]
-        self.edge_w_lvl = self.edge_w_walk[structure.edge_perm]
-        self.mem_deltas = np.asarray(walk.mem_deltas, dtype=np.float64)
-        self.workspace = np.asarray(walk.workspace, dtype=np.float64)
+        self.node_add_lvl = node_add_lvl
+        self.edge_w_walk = edge_w_walk
+        self.edge_w_lvl = edge_w_lvl
+        self.recv_durs = recv_durs
+        self.mem_deltas = mem_deltas
+        self.workspace = workspace
         self._peaks: Optional[Tuple[float, ...]] = None
+
+    @classmethod
+    def from_walk(
+        cls,
+        structure: GraphStructure,
+        walk: _Walk,
+        schedule_name: str,
+        static_bytes: Sequence[float],
+        capacity: float,
+    ) -> "CompiledGraph":
+        """Lay one walk's cost lists over its structure."""
+        node_add = np.asarray(walk.node_add, dtype=np.float64)
+        edge_w_walk = np.asarray(walk.e_w, dtype=np.float64)
+        return cls(
+            structure, schedule_name, static_bytes, capacity,
+            node_add_lvl=node_add[structure.node_order],
+            edge_w_walk=edge_w_walk,
+            edge_w_lvl=edge_w_walk[structure.edge_perm],
+            recv_durs=np.asarray(walk.recv_durs, dtype=np.float64),
+            mem_deltas=np.asarray(walk.mem_deltas, dtype=np.float64),
+            workspace=np.asarray(walk.workspace, dtype=np.float64),
+        )
 
     # -- evaluation --------------------------------------------------------
 
@@ -563,7 +595,7 @@ def compile_graph(
     lowered = lower_programs(schedule, cluster, device_map)
     walk = _walk_programs(lowered)
     structure = _structure_for(walk)
-    graph = CompiledGraph(
+    graph = CompiledGraph.from_walk(
         structure, walk, schedule.name, schedule.static_bytes,
         cluster.hw.gpu_memory,
     )

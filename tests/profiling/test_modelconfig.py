@@ -1,5 +1,7 @@
 """ModelProfile validation and half-batch scaling tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.profiling.modelconfig import BlockProfile, ModelProfile
@@ -14,6 +16,36 @@ class TestValidation:
                 params=0, activation_out_bytes=0, stash_bytes=0,
                 workspace_bytes=0,
             )
+
+    @pytest.mark.parametrize("field", [
+        "fwd_time", "bwd_time", "params", "activation_out_bytes",
+        "stash_bytes", "workspace_bytes",
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_block_costs_must_be_finite_non_negative(
+        self, tiny_profile, field, bad
+    ):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(tiny_profile.blocks[0], **{field: bad})
+
+    @pytest.mark.parametrize("field", ["comm_time", "boundary_bytes"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_profile_comm_costs_must_be_finite_non_negative(
+        self, tiny_profile, field, bad
+    ):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(tiny_profile, **{field: bad})
+
+    def test_zero_costs_accepted(self, tiny_profile):
+        bp = dataclasses.replace(
+            tiny_profile.blocks[0], fwd_time=0.0, bwd_time=0.0, params=0,
+            activation_out_bytes=0, stash_bytes=0, workspace_bytes=0,
+        )
+        assert bp.total_time == 0.0
+        profile = dataclasses.replace(
+            tiny_profile, comm_time=0.0, boundary_bytes=0.0
+        )
+        assert profile.boundary_bytes == 0.0
 
     def test_empty_profile_rejected(self, tiny_profile):
         with pytest.raises(ValueError):

@@ -13,10 +13,6 @@ perturbation factors, and asserts:
 * :func:`robust_iteration_times` / :func:`robust_objective_batch` match
   per-draw scalar sims under compute-noise, straggler and
   comm-degradation factors (the contract the robustness docstrings cite);
-* :func:`execute_analytic` matches the event :class:`Engine` and the
-  compiled graph executor on every lowered schedule family, and raises
-  :class:`AnalyticUnsupported` on comm wait cycles the engine diagnoses
-  as deadlock;
 * the default (kernel-scored) ``exhaustive_partition`` returns the
   identical argmin, tie-breaks and iteration time as the unpruned brute
   force;
@@ -25,24 +21,16 @@ perturbation factors, and asserts:
   and the planner's 1F1B memory model.
 """
 
-import dataclasses
 import random
-import zlib
 
 import numpy as np
-import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from repro.baselines.megatron import uniform_partition
 from repro.config import HardwareConfig, ModelConfig, TrainConfig
 from repro.core.analytic_sim import PipelineSim
 from repro.core.exhaustive import exhaustive_partition
-from repro.core.partition import PartitionScheme, StageTimes, stage_times
-from repro.core.slicer import SlicePlan, make_slice_plan
-from repro.experiments.common import make_profile
-from repro.hardware.cluster import Cluster
+from repro.core.partition import PartitionScheme, StageTimes
 from repro.models.blocks import Block, BlockKind
-from repro.models.zoo import GPT2_345M
 from repro.parallel import stage_memory
 from repro.profiling.modelconfig import BlockProfile, ModelProfile
 from repro.robustness.evaluate import (
@@ -56,21 +44,14 @@ from repro.robustness.perturbation import (
     Straggler,
     draw_factors,
 )
-from repro.runtime.trainer import build_schedule
-from repro.schedules.base import CommOp, ComputeOp, Schedule, Transfer
-from repro.schedules.interleaved import build_interleaved
 from repro.sim.analytic import (
-    AnalyticUnsupported,
     _fused_window,
     bubble_fractions,
-    execute_analytic,
     frontier_times,
     frontier_times_transposed,
     peak_inflight_memory,
     stage_busy_times,
 )
-from repro.sim.engine import Engine
-from repro.sim.graph_exec import execute_fast
 
 
 def _cost_matrices(k, n, seed, tie_heavy=False):
@@ -247,111 +228,6 @@ def test_robust_objective_batch_matches_per_candidate(
         times = StageTimes(tuple(fwd[i]), tuple(bwd[i]), comm)
         draws = robust_iteration_times(times, m, factors, comm_mode=comm_mode)
         assert got[i] == reduce_statistic(draws, statistic)
-
-
-# -- execute_analytic vs event engine vs compiled graphs --------------------
-
-_FAMILIES = ("1f1b", "gpipe", "sliced-agg", "sliced-noagg", "interleaved")
-
-
-def _jitter(schedule: Schedule, seed: int) -> Schedule:
-    """Same-shape schedule with perturbed costs (mirror transfers stay
-    equal so the rendezvous exchange times remain well-defined)."""
-    rng = random.Random(seed)
-
-    def tag_factor(tag: str) -> float:
-        return 0.5 + (zlib.crc32(tag.encode()) % 1000) / 999.0
-
-    programs = []
-    for program in schedule.programs:
-        ops = []
-        for op in program:
-            if isinstance(op, ComputeOp):
-                ops.append(dataclasses.replace(
-                    op,
-                    duration=op.duration * (0.5 + rng.random()),
-                    alloc_bytes=op.alloc_bytes * (0.5 + rng.random()),
-                    free_bytes=op.free_bytes * (0.5 + rng.random()),
-                    workspace_bytes=op.workspace_bytes * (0.5 + rng.random()),
-                ))
-            else:
-                ops.append(dataclasses.replace(op, transfers=tuple(
-                    dataclasses.replace(t, bytes=t.bytes * tag_factor(t.tag))
-                    for t in op.transfers
-                )))
-        programs.append(ops)
-    return Schedule(
-        name=schedule.name,
-        programs=programs,
-        static_bytes=[b * (0.5 + rng.random()) for b in schedule.static_bytes],
-    )
-
-
-def _build(family, profile, depth, m, seed):
-    if family == "interleaved":
-        return build_interleaved(profile, depth, m, num_chunks=2)
-    rng = random.Random(seed)
-    blocks = profile.num_blocks
-    if family in ("1f1b", "gpipe") and depth < blocks and rng.random() < 0.5:
-        cuts = sorted(rng.sample(range(1, blocks), depth - 1))
-        partition = PartitionScheme.from_boundaries(blocks, cuts)
-    else:
-        partition = uniform_partition(profile, depth)
-    if family == "1f1b":
-        return build_schedule(profile, partition, m)
-    if family == "gpipe":
-        return build_schedule(profile, partition, m, "gpipe")
-    if family == "sliced-agg":
-        plan = make_slice_plan(stage_times(partition, profile), m)
-    else:
-        plan = SlicePlan(
-            num_sliced=min(depth, m), num_micro_batches=m,
-            aggregate_last_warmup_comm=False,
-        )
-    return build_schedule(profile, partition, m, "sliced", slice_plan=plan)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    depth=st.sampled_from((2, 3, 4, 6)),
-    mb_per_stage=st.integers(min_value=1, max_value=3),
-    family=st.sampled_from(_FAMILIES),
-    jitter=st.booleans(),
-    seed=st.integers(min_value=0, max_value=10**6),
-)
-def test_execute_analytic_equals_event_and_compiled(
-    depth, mb_per_stage, family, jitter, seed
-):
-    m = depth * mb_per_stage
-    profile = make_profile(GPT2_345M, 4, m)
-    cluster = Cluster(profile.hardware)
-    devices = cluster.pipeline_devices(depth)
-    schedule = _build(family, profile, depth, m, seed)
-    if jitter:
-        schedule = _jitter(schedule, seed)
-    ref = Engine(schedule, cluster, device_map=devices).run()
-    compiled = execute_fast(schedule, cluster, device_map=devices)
-    analytic = execute_analytic(schedule, cluster, device_map=devices)
-    for fast in (compiled, analytic):
-        assert fast.iteration_time == ref.iteration_time
-        assert fast.peak_memory == ref.peak_memory
-        assert fast.oom_devices == ref.oom_devices
-        assert fast.oom == ref.oom
-        for d in range(len(devices)):
-            assert fast.busy_time(d) == ref.busy_time(d)
-            assert fast.first_forward_start(d) == ref.first_forward_start(d)
-
-
-def test_deadlock_raises_analytic_unsupported():
-    sched = Schedule("t", [
-        [CommOp(0, 1, (Transfer("a", 0, 1, 1.0),)),
-         CommOp(0, 1, (Transfer("b", 1, 0, 1.0),))],
-        [CommOp(1, 0, (Transfer("b", 1, 0, 1.0),)),
-         CommOp(1, 0, (Transfer("a", 0, 1, 1.0),))],
-    ])
-    with pytest.raises(AnalyticUnsupported) as err:
-        execute_analytic(sched, Cluster(HardwareConfig()))
-    assert "event" in str(err.value)
 
 
 # -- oracle equivalence: kernel-scored search == brute force ----------------

@@ -1,28 +1,46 @@
-"""Property suite: batched slice-count evaluation == per-candidate DES.
+"""Property suite: the schedule-family fast path == the event engine.
 
-``evaluate_slice_counts`` emits the compiled DAG of each (1F1B x slice
-count) candidate directly and relaxes structure-sharing candidates in one
-batch; the contract that lets the autotuner use it is bit-identity with
-the reference path — one ``run_pipeline`` (schedule build, instruction
-lowering, graph compile, single execution) per candidate.  Hypothesis
-drives pipeline depth, micro-batch count, slice-count sets, cost jitter
-and cluster shape, and asserts every :class:`ExecutionResult` field the
-autotuner (or anyone else) can read agrees exactly, raw event log
-included.
+``run_pipeline(executor="graph")`` and ``evaluate_slice_counts`` fill a
+cached graph skeleton per schedule shape with each call's cost atoms;
+the contract that lets every sweep use them is bit-identity with the
+spec — the event engine running the built schedule
+(``run_pipeline(..., executor="event")``).  Hypothesis drives the
+schedule family (1f1b, sliced with and without aggregation, gpipe),
+pipeline depth, micro-batch count, slice counts and cost jitter, runs two
+differently jittered profiles through one cached skeleton (so the hit
+path is covered, not only the emitting miss), and asserts every
+:class:`ExecutionResult` field agrees exactly: name, iteration time,
+peak memory, OOM devices, first-forward starts and the raw event log.
+
+Raw events are compared per device in program order.  A rendezvous
+exchange's label names the ops of one endpoint, and the event engine
+labels both endpoints with whichever completed the match, so comm
+labels are compared as their sorted tag sets (with the device, the tags
+imply the arrows); every other field of every event is compared exactly.
+The compiled graph of the built schedule (``execute_fast``) produces the
+same labels as the skeleton path, so there the whole log must match
+exactly.
 """
 
 import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.balance_dp import balanced_partition
 from repro.core.slicer import SlicePlan
 from repro.experiments.common import make_profile
+from repro.hardware.cluster import Cluster
 from repro.models.zoo import GPT2_345M
-from repro.runtime.trainer import run_pipeline
-from repro.sim.slice_eval import evaluate_slice_counts
-from repro.sim.slice_eval import family_structure_cache_info
+from repro.runtime import trainer
+from repro.runtime.trainer import build_schedule, run_pipeline
+from repro.sim import engine, graph_exec
+from repro.sim.graph_exec import execute_fast
+from repro.sim.slice_eval import (
+    evaluate_slice_counts,
+    family_structure_cache_info,
+)
 
 
 def _jittered(mbs, m, seed):
@@ -38,16 +56,113 @@ def _jittered(mbs, m, seed):
         )
         for bp in base.blocks
     )
-    return dataclasses.replace(base, blocks=blocks)
-
-
-def _reference(profile, partition, m, num_sliced):
-    if num_sliced == 0:
-        return run_pipeline(profile, partition, m)
-    return run_pipeline(
-        profile, partition, m, schedule="sliced",
-        slice_plan=SlicePlan(num_sliced=num_sliced, num_micro_batches=m),
+    return dataclasses.replace(
+        base, blocks=blocks,
+        boundary_bytes=base.boundary_bytes * (0.5 + rng.random()),
     )
+
+
+def _schedule_args(m, num_sliced, aggregate=True):
+    return {
+        "schedule": "sliced",
+        "slice_plan": SlicePlan(
+            num_sliced=num_sliced, num_micro_batches=m,
+            aggregate_last_warmup_comm=aggregate,
+        ),
+    }
+
+
+def _event(profile, partition, m, num_sliced):
+    """The spec: one event-engine run per slice count (0 = plain 1F1B)."""
+    if num_sliced == 0:
+        return run_pipeline(profile, partition, m, executor="event")
+    return run_pipeline(
+        profile, partition, m, executor="event",
+        **_schedule_args(m, num_sliced),
+    )
+
+
+def _per_device(raw, num_devices):
+    """Per-device event sequences, comm labels as sorted tag tuples.
+
+    A tag names its source and destination stage, so together with the
+    event's device the tags determine the arrows the label drops.
+    """
+    out = [[] for _ in range(num_devices)]
+    for dev, category, label, start, end, phase in raw:
+        if category == "comm":
+            label = tuple(sorted(p[1:] for p in label[5:-1].split(",")))
+        out[dev].append((category, label, start, end, phase))
+    return out
+
+
+def _assert_same(got, ref):
+    assert got.schedule_name == ref.schedule_name
+    assert got.iteration_time == ref.iteration_time
+    assert got.peak_memory == ref.peak_memory
+    assert got.oom_devices == ref.oom_devices
+    assert got.oom == ref.oom
+    assert got.num_devices == ref.num_devices
+    for d in range(ref.num_devices):
+        assert got.first_forward_start(d) == ref.first_forward_start(d)
+        assert got.busy_time(d) == ref.busy_time(d)
+    assert _per_device(got.raw_events, ref.num_devices) == _per_device(
+        ref.raw_events, ref.num_devices
+    )
+
+
+_FAMILY = st.sampled_from(("1f1b", "gpipe", "sliced", "sliced-noagg"))
+
+
+class TestHitPathEqualsEventEngine:
+    @given(
+        family=_FAMILY,
+        p=st.integers(1, 5),
+        m=st.integers(1, 10),
+        mbs=st.sampled_from([4, 8]),
+        seeds=st.tuples(
+            st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_two_profiles_on_one_skeleton(
+        self, family, p, m, mbs, seeds, data
+    ):
+        kwargs = {}
+        if family == "gpipe":
+            kwargs = {"schedule": "gpipe"}
+        elif family.startswith("sliced"):
+            num_sliced = data.draw(st.integers(0, m), label="num_sliced")
+            kwargs = _schedule_args(
+                m, num_sliced, aggregate=family == "sliced"
+            )
+        profiles = [_jittered(mbs, m, seed) for seed in seeds]
+        results = []
+        for i, profile in enumerate(profiles):
+            partition = balanced_partition(profile.block_times(), p)
+            results.append((
+                profile, partition,
+                run_pipeline(profile, partition, m, **kwargs),
+            ))
+            if i == 0:
+                cached = family_structure_cache_info()
+        # The second profile is a hit: no new skeleton was emitted.
+        assert family_structure_cache_info() == cached
+        for profile, partition, got in results:
+            ref = run_pipeline(
+                profile, partition, m, executor="event", **kwargs
+            )
+            _assert_same(got, ref)
+            cluster = Cluster(profile.hardware)
+            built = build_schedule(
+                profile, partition, m, kwargs.get("schedule", "1f1b"),
+                kwargs.get("slice_plan"),
+            )
+            compiled = execute_fast(
+                built, cluster, device_map=cluster.pipeline_devices(p)
+            )
+            assert got.raw_events == compiled.raw_events
 
 
 class TestBatchedEqualsPerCandidate:
@@ -68,16 +183,7 @@ class TestBatchedEqualsPerCandidate:
         batch = evaluate_slice_counts(profile, partition, m, slice_counts)
         assert len(batch) == len(slice_counts)
         for num_sliced, got in zip(slice_counts, batch):
-            ref = _reference(profile, partition, m, num_sliced)
-            assert got.schedule_name == ref.schedule_name
-            assert got.iteration_time == ref.iteration_time
-            assert got.peak_memory == ref.peak_memory
-            assert got.oom_devices == ref.oom_devices
-            assert got.num_devices == ref.num_devices
-            assert got.raw_events == ref.raw_events
-            for d in range(ref.num_devices):
-                assert got.first_forward_start(d) == \
-                    ref.first_forward_start(d)
+            _assert_same(got, _event(profile, partition, m, num_sliced))
 
     def test_structure_cache_reused_across_calls(self):
         profile = _jittered(4, 8, seed=7)
@@ -87,3 +193,40 @@ class TestBatchedEqualsPerCandidate:
         # A second sweep over the same family compiles no new structures.
         evaluate_slice_counts(profile, partition, 8, [0, 2, 4])
         assert family_structure_cache_info()[0] == count
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("the cached-skeleton path must not build or lower")
+
+
+@pytest.mark.parametrize("family", ["1f1b", "gpipe", "sliced"])
+def test_cached_shape_builds_no_schedule(monkeypatch, family):
+    m, p = 6, 3
+    kwargs = {"schedule": "gpipe"} if family == "gpipe" else (
+        _schedule_args(m, 2) if family == "sliced" else {}
+    )
+    first, second = _jittered(4, m, 1), _jittered(4, m, 2)
+    partition = balanced_partition(first.block_times(), p)
+    run_pipeline(first, partition, m, **kwargs)
+    monkeypatch.setattr(trainer, "build_schedule", _refuse)
+    monkeypatch.setattr(engine, "lower_programs", _refuse)
+    monkeypatch.setattr(graph_exec, "lower_programs", _refuse)
+    got = run_pipeline(second, partition, m, **kwargs)
+    monkeypatch.undo()
+    _assert_same(
+        got, run_pipeline(second, partition, m, executor="event", **kwargs)
+    )
+
+
+def test_sliced_without_slices_keeps_its_name():
+    m = 6
+    profile = _jittered(4, m, 3)
+    partition = balanced_partition(profile.block_times(), 3)
+    kwargs = _schedule_args(m, 0)
+    got = run_pipeline(profile, partition, m, **kwargs)
+    assert got.schedule_name == "autopipe-sliced"
+    _assert_same(
+        got, run_pipeline(profile, partition, m, executor="event", **kwargs)
+    )
+    # Same shape as plain 1F1B, which keeps its own name.
+    assert run_pipeline(profile, partition, m).schedule_name == "1f1b"
