@@ -9,7 +9,9 @@ artifact — it guards the two hot paths the evaluation sweeps lean on:
   :class:`SimCache` that deduplicates analytic simulations across calls.
 
 The measured numbers are written to ``BENCH_engine.json`` at the repo
-root so before/after comparisons survive the run.  The DES guard is a
+root so before/after comparisons survive the run; every section records
+the command that produced it and the machine it ran on (commit, cores,
+Python and numpy versions).  The DES guard is a
 *generous absolute budget* on the deepest case: the seed's
 polling-sweep engine needed ~7.5 ms for the 12-stage Fig. 10 pipeline
 and the ready-queue engine ~0.75 ms, so a 50 ms ceiling only trips on a
@@ -17,16 +19,25 @@ genuine algorithmic regression (e.g. the quadratic sweep coming back),
 never on machine noise.  The ``cold_profile`` section times
 ``run_pipeline`` end to end on a freshly jittered profile (the regime of
 sweeps that execute every candidate once) and guards it at >= 10x over
-the event engine at depth 32.
+the event engine at depth 32; its interleaved rows time
+``build_interleaved`` + ``execute_fast`` on perfbench's cluster-execute
+shapes and guard the skeleton route at >= 2x over lower -> walk of the
+same built schedules.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import platform
 import random
+import subprocess
 import time
 from pathlib import Path
+from typing import Tuple
+
+import numpy as np
 
 from repro.baselines.megatron import uniform_partition
 from repro.core.planner import SimCache, plan_partition
@@ -34,10 +45,12 @@ from repro.core.slicer import SlicePlan
 from repro.experiments.common import make_profile
 from repro.experiments.deep_pipeline import DEEP_GPT, DEEP_HW
 from repro.hardware.cluster import Cluster
-from repro.models.zoo import BERT_LARGE, GPT2_345M
+from repro.hardware.device import rtx3090_cluster
+from repro.models.zoo import BERT_LARGE, GPT2_345M, get_model
 from repro.runtime.trainer import build_schedule, run_pipeline
+from repro.schedules.interleaved import build_interleaved
 from repro.sim.engine import Engine
-from repro.sim.graph_exec import compile_graph, run_batch
+from repro.sim.graph_exec import compile_graph, execute_fast, run_batch
 
 DEPTHS = (2, 4, 8, 12)
 #: depths for the compiled-vs-event comparison (128-layer deep model).
@@ -61,10 +74,57 @@ COLD_BEFORE_SECONDS = {
     "gpipe": {"8": 0.0083, "16": 0.0436, "32": 0.313},
 }
 
+#: interleaved cells of the cold-profile section: perfbench's
+#: cluster-execute shapes (model, depth, chunks) on its 8 x 4-GPU cluster,
+#: micro-batch size 4, m = 2 * depth.
+COLD_INTERLEAVED = (
+    ("gpt2-345m", 8, 3), ("gpt2-345m", 12, 2), ("gpt2-762m", 18, 2),
+)
+COLD_INTERLEAVED_HW = rtx3090_cluster(8, 4)
+#: ``build_interleaved`` + ``execute_fast`` seconds per cold-profile call
+#: when ``compile_graph`` lowered and walked every built schedule (same
+#: settings as ``time_cold_interleaved``, where both routes were then
+#: lower -> walk: best of the 10 timed calls, lowest of three processes,
+#: on a 2-vCPU x86 VM, Python 3.11.7, numpy 2.4.6).
+COLD_INTERLEAVED_BEFORE_SECONDS = {
+    "gpt2-345m/8x3": 0.0225,
+    "gpt2-345m/12x2": 0.0329,
+    "gpt2-762m/18x2": 0.0808,
+}
+#: the skeleton route vs lower -> walk of the same built schedules.
+COLD_INTERLEAVED_SPEEDUP_BAR = 2.0
+
 _RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 
-def _merge_into_results(section: str, payload: dict) -> None:
+def _commit() -> str:
+    """``git describe --always --dirty`` of the checkout, or "unknown"."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=_RESULTS_PATH.parent, capture_output=True, text=True,
+            timeout=30,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() or "unknown"
+
+
+def _merge_into_results(section: str, payload: dict, test: str) -> None:
+    """Write one section, stamped with its command and machine."""
+    payload = {
+        "command": (
+            "PYTHONPATH=src python -m pytest -q -s "
+            f"benchmarks/test_bench_engine_scaling.py::{test}"
+        ),
+        "machine": {
+            "commit": _commit(),
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        **payload,
+    }
     data = {}
     if _RESULTS_PATH.exists():
         try:
@@ -108,7 +168,7 @@ def test_bench_des_scaling(benchmark):
         "setting": "fig10 1f1b, gpt2-345m, m=2*depth, best of 5",
         "seconds_by_depth": {str(d): s for d, s in curve.items()},
         "budget_12_stage_seconds": DES_BUDGET_12_STAGE_SECONDS,
-    })
+    }, "test_bench_des_scaling")
 
     assert curve[12] < DES_BUDGET_12_STAGE_SECONDS, (
         f"12-stage DES run took {curve[12] * 1e3:.2f} ms — over the "
@@ -213,7 +273,7 @@ def test_bench_compiled_vs_event(benchmark):
             "scalar_seconds": scalar_seconds,
             "speedup_vs_scalar": scalar_seconds / batch_seconds,
         },
-    })
+    }, "test_bench_compiled_vs_event")
 
     deep_speedups = [
         rows[d]["speedup"] for d in COMPILED_DEPTHS if d >= 32
@@ -269,6 +329,41 @@ def time_cold_profile(depth: int, schedule: str, executor: str = "graph",
     return best
 
 
+def time_cold_interleaved(model: str, depth: int, chunks: int,
+                          reps: int = 5) -> Tuple[float, float]:
+    """Best-of-``reps`` seconds of ``build_interleaved`` + ``execute_fast``.
+
+    Returns ``(skeleton, walk)``: the builder-tagged schedule, and the
+    same schedule with its tag dropped so ``compile_graph`` lowers and
+    walks it.  Each rep times both routes back to back on a profile
+    neither has seen; one untimed call per route first warms the shape's
+    caches.
+    """
+    m = 2 * depth
+    profile = make_profile(
+        get_model(model), 4, m, hardware=COLD_INTERLEAVED_HW
+    )
+    cluster = Cluster(profile.hardware)
+    devices = cluster.pipeline_devices(depth)
+
+    def run(prof, walk: bool) -> float:
+        t0 = time.perf_counter()
+        schedule = build_interleaved(prof, depth, m, num_chunks=chunks)
+        if walk:
+            schedule.skeleton = None
+        execute_fast(schedule, cluster, device_map=devices)
+        return time.perf_counter() - t0
+
+    run(profile, False)
+    run(profile, True)
+    best = [float("inf"), float("inf")]
+    for seed in range(reps):
+        fresh = _jittered(profile, seed)
+        for route in (0, 1):
+            best[route] = min(best[route], run(fresh, route == 1))
+    return best[0], best[1]
+
+
 def test_bench_cold_profile_run_pipeline(benchmark):
     """End-to-end ``run_pipeline`` on fresh profiles with warm skeletons.
 
@@ -304,6 +399,36 @@ def test_bench_cold_profile_run_pipeline(benchmark):
             row["speedup_vs_before"] = (
                 row["before_seconds"] / row["graph_seconds"]
             )
+    interleaved = {}
+    for model, depth, chunks in COLD_INTERLEAVED:
+        cell = f"{model}/{depth}x{chunks}"
+        skeleton, walk = time_cold_interleaved(model, depth, chunks)
+        before = COLD_INTERLEAVED_BEFORE_SECONDS[cell]
+        interleaved[cell] = {
+            "graph_seconds": skeleton,
+            "walk_seconds": walk,
+            "before_seconds": before,
+            "speedup_vs_walk": walk / skeleton,
+            "speedup_vs_before": before / skeleton,
+        }
+    # Same fresh profile, both executors: bit-identical results.
+    model, depth, chunks = COLD_INTERLEAVED[-1]
+    fresh = _jittered(make_profile(
+        get_model(model), 4, 2 * depth, hardware=COLD_INTERLEAVED_HW
+    ), 99)
+    cluster = Cluster(fresh.hardware)
+    devices = cluster.pipeline_devices(depth)
+    got = execute_fast(
+        build_interleaved(fresh, depth, 2 * depth, num_chunks=chunks),
+        cluster, device_map=devices,
+    )
+    ref = Engine(
+        build_interleaved(fresh, depth, 2 * depth, num_chunks=chunks),
+        cluster, device_map=devices,
+    ).run()
+    assert (got.iteration_time, got.peak_memory) == (
+        ref.iteration_time, ref.peak_memory
+    )
 
     benchmark.pedantic(
         time_cold_profile, args=(COLD_DEPTHS[-1], "1f1b"),
@@ -319,17 +444,29 @@ def test_bench_cold_profile_run_pipeline(benchmark):
                 + (f"  event {row['event_seconds'] * 1e3:8.1f} ms"
                    if "event_seconds" in row else "")
             )
+    for cell, row in interleaved.items():
+        print(
+            f"cold interleaved {cell}: {row['graph_seconds'] * 1e3:8.3f} ms"
+            f"  lower+walk {row['walk_seconds'] * 1e3:8.3f} ms"
+            f"  ({row['speedup_vs_walk']:.1f}x)"
+        )
 
     _merge_into_results("cold_profile", {
         "setting": (
             "run_pipeline on a freshly jittered gpt-deep-128 profile, "
             "uniform partition, m=2*depth, sliced with depth//2 sliced "
             "micro-batches; one untimed warm-up call per cell, then best "
-            "of 5 fresh profiles (event: best of 2)"
+            "of 5 fresh profiles (event: best of 2); interleaved: "
+            "build_interleaved + execute_fast of perfbench's "
+            "cluster-execute shapes (gpt2-345m/762m, 8 x 4-GPU cluster, "
+            "micro-batch size 4, m=2*depth), skeleton route and "
+            "lower -> walk (tag dropped) alternating, best of 5 each"
         ),
         "by_schedule": rows,
+        "interleaved": interleaved,
         "speedup_bar_vs_event": COLD_SPEEDUP_BAR,
-    })
+        "interleaved_speedup_bar_vs_walk": COLD_INTERLEAVED_SPEEDUP_BAR,
+    }, "test_bench_cold_profile_run_pipeline")
 
     for schedule in COLD_SCHEDULES:
         speedup = rows[schedule][deep]["speedup_vs_event"]
@@ -337,6 +474,12 @@ def test_bench_cold_profile_run_pipeline(benchmark):
             f"cold-profile run_pipeline ({schedule}, depth {deep}) is only "
             f"{speedup:.1f}x faster than the event engine "
             f"(< {COLD_SPEEDUP_BAR:.0f}x)"
+        )
+    for cell, row in interleaved.items():
+        assert row["speedup_vs_walk"] >= COLD_INTERLEAVED_SPEEDUP_BAR, (
+            f"cold interleaved build + execute_fast ({cell}) is only "
+            f"{row['speedup_vs_walk']:.1f}x faster on the skeleton route "
+            f"than by lower -> walk (< {COLD_INTERLEAVED_SPEEDUP_BAR:.0f}x)"
         )
 
 
@@ -382,7 +525,7 @@ def test_bench_planner_search(benchmark):
             "warm_misses": warm_misses,
             "hits": cache.hits,
         },
-    })
+    }, "test_bench_planner_search")
 
     assert warm.evaluations == timings["gpt2-345m"]["evaluations"]
     assert warm_misses == 0, "warm re-plan should be served from the cache"

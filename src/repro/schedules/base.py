@@ -20,7 +20,7 @@ deadlock instead of hanging.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: A schedule unit: (micro_batch, half) where half is -1 (whole), 0 or 1.
 Unit = Tuple[int, int]
@@ -136,6 +136,48 @@ class CommOp:
         return "comm[" + ",".join(parts) + "]"
 
 
+def family_key(
+    family: str,
+    num_stages: int,
+    num_micro_batches: int,
+    num_sliced: int = 0,
+    aggregate: bool = False,
+    num_chunks: int = 1,
+) -> Tuple:
+    """The skeleton key of one schedule-family shape.
+
+    ``family`` is ``"1f1b"`` (sliced when ``num_sliced > 0``),
+    ``"gpipe"`` or ``"interleaved"`` (``num_chunks`` model chunks per
+    device).  Aggregation only changes the sends of sliced halves, so it
+    is dropped from the key when nothing is sliced.
+    """
+    return (
+        family, num_stages, num_micro_batches, num_sliced,
+        aggregate and num_sliced > 0, num_chunks,
+    )
+
+
+@dataclass(frozen=True)
+class SkeletonTag:
+    """What a family builder records about the schedule it returned.
+
+    ``key`` is the :func:`family_key` of the shape it emitted,
+    ``stage_costs`` the builder's per-stage
+    :class:`~repro.schedules.one_f_one_b._StageCosts` (one per virtual
+    stage ``c * n + x`` for interleaved schedules), ``boundary_bytes``
+    the payload of a whole unit, and ``signature`` the schedule's
+    :meth:`Schedule.identity_signature` when the builder returned it.
+    The static-graph executor fills the cached skeleton of ``key`` from
+    these costs while the signature still matches; a schedule edited
+    after it was built compiles from its ops instead.
+    """
+
+    key: Tuple
+    stage_costs: Tuple[object, ...] = field(repr=False)
+    boundary_bytes: float = field(repr=False)
+    signature: Tuple = field(repr=False)
+
+
 @dataclass
 class Schedule:
     """Per-device programs plus bookkeeping for metrics."""
@@ -144,6 +186,11 @@ class Schedule:
     programs: List[List[object]]           # ComputeOp | CommOp per device
     #: static (weights + optimizer state) bytes resident per device.
     static_bytes: List[float] = field(default_factory=list)
+    #: set by the family builders (:meth:`tag_family`); None when built
+    #: by hand.
+    skeleton: Optional[SkeletonTag] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.programs:
@@ -162,6 +209,17 @@ class Schedule:
     @property
     def num_devices(self) -> int:
         return len(self.programs)
+
+    def tag_family(
+        self, key: Tuple, stage_costs: Sequence[object],
+        boundary_bytes: float,
+    ) -> "Schedule":
+        """Record the skeleton this builder emitted (see :class:`SkeletonTag`)."""
+        self.skeleton = SkeletonTag(
+            key, tuple(stage_costs), boundary_bytes,
+            self.identity_signature(),
+        )
+        return self
 
     def identity_signature(self) -> Tuple:
         """A cheap fingerprint of the exact op objects in every program.

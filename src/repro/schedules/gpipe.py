@@ -7,9 +7,10 @@ buffered (GPipe's fill-drain pattern has no bidirectional pairing).
 
 Maintenance note: ``repro.sim.slice_eval.family_walk`` mirrors this
 builder's program loop to emit the compiled graph skeleton directly;
-``run_pipeline(executor="graph")`` never calls the builder.  The emitter
-and the builder must change together — ``tests/sim/test_slice_eval.py``
-asserts they stay bit-identical.
+``run_pipeline(executor="graph")`` never calls the builder, and
+``compile_graph`` fills the skeleton of a schedule it tagged instead of
+lowering its ops.  The emitter and the builder must change together —
+``tests/sim/test_slice_eval.py`` asserts they stay bit-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from typing import List
 
 from repro.core.partition import PartitionScheme
 from repro.profiling.modelconfig import ModelProfile
-from repro.schedules.base import CommOp, ComputeOp, Schedule, Transfer, full_units
+from repro.schedules.base import (
+    CommOp,
+    ComputeOp,
+    Schedule,
+    Transfer,
+    family_key,
+    full_units,
+)
 from repro.schedules.one_f_one_b import _StageCosts
 
 
@@ -79,4 +87,6 @@ def build_gpipe(
     static = [
         costs[x].params * profile.train.bytes_per_param_state for x in range(n)
     ]
-    return Schedule(name=name, programs=programs, static_bytes=static)
+    return Schedule(
+        name=name, programs=programs, static_bytes=static
+    ).tag_family(family_key("gpipe", n, num_micro_batches), costs, bbytes)

@@ -14,6 +14,15 @@ Violations raise :class:`InterleavedInfeasible` (the "X" marks).
 The virtual-micro-batch ordering is ported from Megatron-LM's
 ``forward_backward_pipelining_with_interleaving``.  Communication is
 buffered (Megatron posts batched isend/irecv pairs).
+
+Maintenance note: ``repro.sim.slice_eval.family_walk`` mirrors
+:func:`build_interleaved`'s program loop (through :func:`warmup_count`,
+:func:`_chunk_of` and :func:`_microbatch_of`) to emit the compiled graph
+skeleton of a ``(stages, micro-batches, chunks)`` shape, and the
+builder tags its schedule so ``compile_graph`` fills that skeleton
+instead of lowering the ops.  The emitter and the builder must change
+together — ``tests/sim/test_slice_eval.py`` asserts they stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +31,13 @@ from typing import List, Tuple
 
 from repro.models.blocks import BlockKind
 from repro.profiling.modelconfig import ModelProfile
-from repro.schedules.base import CommOp, ComputeOp, Schedule, Transfer
+from repro.schedules.base import (
+    CommOp,
+    ComputeOp,
+    Schedule,
+    Transfer,
+    family_key,
+)
 from repro.schedules.one_f_one_b import _StageCosts
 
 
@@ -88,6 +103,14 @@ def _microbatch_of(k: int, n: int, v: int) -> int:
     return (k // (n * v)) * n + k % n
 
 
+def warmup_count(x: int, n: int, m: int, v: int) -> int:
+    """Warmup forwards of device ``x`` (Megatron's ``num_warmup_microbatches``)."""
+    total = m * v
+    if m == n:
+        return total
+    return min((n - x - 1) * 2 + (v - 1) * n, total)
+
+
 def build_interleaved(
     profile: ModelProfile,
     num_stages: int,
@@ -109,11 +132,6 @@ def build_interleaved(
     bbytes = profile.boundary_bytes
     total = m * v
 
-    def warmup_count(x: int) -> int:
-        if m == n:
-            return total
-        return min((n - x - 1) * 2 + (v - 1) * n, total)
-
     def fwd_peers(x: int, c: int) -> Tuple[int, int]:
         """(virtual stage, previous virtual stage) of chunk c on device x."""
         vs = c * n + x
@@ -122,7 +140,7 @@ def build_interleaved(
     programs: List[List[object]] = []
     for x in range(n):
         program: List[object] = []
-        nw = warmup_count(x)
+        nw = warmup_count(x, n, m, v)
 
         def emit_fwd(k: int) -> None:
             c = _chunk_of(k, n, v, True)
@@ -193,4 +211,10 @@ def build_interleaved(
         sum(c.params for c in costs[x]) * profile.train.bytes_per_param_state
         for x in range(n)
     ]
-    return Schedule(name=name, programs=programs, static_bytes=static)
+    # Virtual stage c * n + x is chunk c of device x.
+    virtual_costs = [costs[vs % n][vs // n] for vs in range(n * v)]
+    return Schedule(
+        name=name, programs=programs, static_bytes=static
+    ).tag_family(
+        family_key("interleaved", n, m, num_chunks=v), virtual_costs, bbytes
+    )

@@ -18,13 +18,15 @@ Maintenance note: ``repro.sim.slice_eval.family_walk`` mirrors
 :func:`build_unit_1f1b`'s program loop to emit the compiled graph
 skeleton directly, and ``family_atoms`` reuses :class:`_StageCosts`'
 expressions; ``run_pipeline(executor="graph")`` never calls this
-builder.  The emitter and the builder must change together —
+builder, and ``compile_graph`` fills the skeleton of a schedule it
+tagged (:meth:`~repro.schedules.base.Schedule.tag_family`) instead of
+lowering its ops.  The emitter and the builder must change together —
 ``tests/sim/test_slice_eval.py`` asserts they stay bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.partition import PartitionScheme
 from repro.models.costs import small_batch_slowdown
@@ -35,6 +37,7 @@ from repro.schedules.base import (
     Schedule,
     Transfer,
     Unit,
+    family_key,
     full_units,
     unit_fraction,
     unit_label,
@@ -109,12 +112,16 @@ def build_unit_1f1b(
     *,
     name: str = "1f1b",
     rendezvous_policy: RendezvousPolicy = _always_rendezvous,
+    skeleton_key: Optional[Tuple] = None,
 ) -> Schedule:
     """Build a (possibly sliced) 1F1B schedule over an explicit unit list.
 
     When ``rendezvous_policy`` marks a unit's transfer as eager, the fused
     bidirectional exchange that would carry it is split into independent
     buffered sends/recvs (the Slicer's comm-aggregation semantics).
+    Callers whose units and policy form a schedule-family shape pass its
+    :func:`~repro.schedules.base.family_key` as ``skeleton_key``, and the
+    schedule is tagged with it.
     """
     n = partition.num_stages
     m = len(units)
@@ -216,7 +223,10 @@ def build_unit_1f1b(
     static = [
         costs[x].params * profile.train.bytes_per_param_state for x in range(n)
     ]
-    return Schedule(name=name, programs=programs, static_bytes=static)
+    schedule = Schedule(name=name, programs=programs, static_bytes=static)
+    if skeleton_key is not None:
+        schedule.tag_family(skeleton_key, costs, bbytes)
+    return schedule
 
 
 def build_1f1b(
@@ -228,5 +238,8 @@ def build_1f1b(
 ) -> Schedule:
     """The plain Megatron 1F1B schedule over whole micro-batches."""
     return build_unit_1f1b(
-        profile, partition, full_units(num_micro_batches), name=name
+        profile, partition, full_units(num_micro_batches), name=name,
+        skeleton_key=family_key(
+            "1f1b", partition.num_stages, num_micro_batches
+        ),
     )

@@ -17,7 +17,8 @@ ablation in the benchmarks).
 Maintenance note: ``repro.sim.slice_eval.family_walk`` emits the compiled
 graph skeleton of this schedule *directly* (no Schedule object, no
 instruction lowering); ``run_pipeline`` and the autotuner execute that
-skeleton, and only the event engine runs this builder.  The emitter and
+skeleton, and ``compile_graph`` fills it for the schedules this builder
+tags; only the event engine executes the built ops.  The emitter and
 the builder must change together: any change to the unit order, exchange
 fusion or eager policy here must be mirrored there.
 ``tests/sim/test_slice_eval.py`` asserts the two paths stay
@@ -29,7 +30,7 @@ from __future__ import annotations
 from repro.core.partition import PartitionScheme
 from repro.core.slicer import SlicePlan
 from repro.profiling.modelconfig import ModelProfile
-from repro.schedules.base import Schedule, Unit
+from repro.schedules.base import Schedule, Unit, family_key
 from repro.schedules.one_f_one_b import build_unit_1f1b
 
 
@@ -54,4 +55,8 @@ def build_sliced(
         list(plan.units()),
         name=name,
         rendezvous_policy=policy,
+        skeleton_key=family_key(
+            "1f1b", partition.num_stages, plan.num_micro_batches,
+            plan.num_sliced, aggregate,
+        ),
     )

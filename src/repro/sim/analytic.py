@@ -69,9 +69,13 @@ per-op critical path, master stage    :class:`~repro.core.analytic_sim.
                                       evaluation stays on the scalar sim)
 DES semantics (rendezvous exchange,   :func:`~repro.sim.slice_eval.
 eager sends, memory ledger); 1f1b /   compile_slice_graph` (cached skeleton
-sliced / gpipe                        + atom gather) for 1f1b / sliced /
-                                      gpipe, :func:`~repro.sim.graph_exec.
-                                      execute_fast` for other schedules
+sliced / gpipe / interleaved          + atom gather) for ``run_pipeline``'s
+                                      1f1b / sliced / gpipe;
+                                      :func:`~repro.sim.graph_exec.
+                                      compile_graph` fills the same
+                                      skeletons for builder-made schedules
+                                      (interleaved included) and lowers +
+                                      walks hand-built or edited ones
 cyclic comm, deadlocking programs     the event engine
                                       (:class:`~repro.sim.engine.Engine`),
                                       which diagnoses the deadlock

@@ -35,7 +35,10 @@ compile-once/evaluate-many treatment the 1F1B simulator already has
   :meth:`Schedule.shape_signature`-equivalent lowered shape, so sweep
   cells that differ only in model size / byte counts share one compiled
   structure.  Per-schedule compiled graphs are cached on the schedule
-  object and guarded against post-compile mutation.
+  object and guarded against post-compile mutation.  Schedules a family
+  builder made skip the lowering and the walk: :func:`compile_graph`
+  fills their shape's cached skeleton (:mod:`repro.sim.slice_eval`),
+  and a walked schedule of the same shape shares its structure.
 
 * **Memory accounting.**  Activation stashes are replayed per device as
   an interleaved alloc/release delta array: a sequential ``cumsum`` (the
@@ -241,7 +244,7 @@ class GraphStructure:
 
     __slots__ = (
         "num_nodes", "num_edges", "levels", "edge_perm", "node_order",
-        "records", "first_f", "mem_offsets", "sig", "perturb_plan",
+        "records", "first_f", "mem_offsets", "perturb_plan",
     )
 
     def __init__(self, walk: _Walk) -> None:
@@ -353,7 +356,6 @@ class GraphStructure:
         self.mem_offsets = np.concatenate(
             ([0], np.cumsum(np.asarray(walk.mem_counts, dtype=np.intp)))
         )
-        self.sig = walk.sig
         #: lazily built node/edge classification for ``run_perturbed``.
         self.perturb_plan = None
 
@@ -362,12 +364,28 @@ class GraphStructure:
 _structures: "OrderedDict[tuple, GraphStructure]" = OrderedDict()
 
 
+def walked_structures() -> List[Tuple[Tuple, GraphStructure]]:
+    """(signature, structure) of every cached lowered-walk structure."""
+    return list(_structures.items())
+
+
 def _structure_for(walk: _Walk) -> GraphStructure:
+    """The structure of a lowered walk's shape, cached by its signature.
+
+    On a miss, a cached schedule-family skeleton of the same shape is
+    reused (:func:`repro.sim.slice_eval.family_structure`), so a
+    hand-built or edited schedule shares the DAG of the builder-made
+    one.
+    """
     structure = _structures.get(walk.sig)
     if structure is not None:
         _structures.move_to_end(walk.sig)
         return structure
-    structure = GraphStructure(walk)
+    from repro.sim.slice_eval import family_structure
+
+    structure = family_structure(walk)
+    if structure is None:
+        structure = GraphStructure(walk)
     _structures[walk.sig] = structure
     while len(_structures) > _STRUCTURE_CACHE_SIZE:
         _structures.popitem(last=False)
@@ -574,9 +592,13 @@ def compile_graph(
 ) -> CompiledGraph:
     """Compile (or fetch the cached) static graph for one schedule.
 
-    The result is cached on the schedule object keyed by device map and
-    guarded by cluster identity and the schedule's identity signature —
-    mutating the schedule afterwards raises
+    A schedule returned by a family builder (1f1b, sliced, gpipe,
+    interleaved) and not edited since fills its shape's cached skeleton
+    by one atom gather (:func:`repro.sim.slice_eval.compile_tagged`);
+    any other schedule is lowered and walked.  The result is cached on
+    the schedule object keyed by device map and guarded by cluster
+    identity and the schedule's identity signature — mutating the
+    schedule afterwards raises
     :class:`~repro.schedules.base.ScheduleMutationError` on the next
     compile/run instead of silently using the stale graph.
     """
@@ -584,22 +606,29 @@ def compile_graph(
     key = tuple(device_map)
     cache = schedule.__dict__.setdefault("_graph_cache", {})
     entry = cache.get(key)
+    signature = schedule.identity_signature()
     if entry is not None and entry[0] is cluster:
-        if schedule.identity_signature() != entry[1]:
+        if signature != entry[1]:
             raise ScheduleMutationError(
                 f"schedule {schedule.name!r} was mutated after its static "
                 "graph was compiled; build a fresh Schedule instead of "
                 "editing one in place"
             )
         return entry[2]
-    lowered = lower_programs(schedule, cluster, device_map)
-    walk = _walk_programs(lowered)
-    structure = _structure_for(walk)
-    graph = CompiledGraph.from_walk(
-        structure, walk, schedule.name, schedule.static_bytes,
-        cluster.hw.gpu_memory,
-    )
-    cache[key] = (cluster, schedule.identity_signature(), graph)
+    tag = schedule.skeleton
+    if tag is not None and tag.signature == signature:
+        # slice_eval builds on this module, so it is imported late.
+        from repro.sim.slice_eval import compile_tagged
+
+        graph = compile_tagged(schedule, cluster, device_map)
+    else:
+        lowered = lower_programs(schedule, cluster, device_map)
+        walk = _walk_programs(lowered)
+        graph = CompiledGraph.from_walk(
+            _structure_for(walk), walk, schedule.name, schedule.static_bytes,
+            cluster.hw.gpu_memory,
+        )
+    cache[key] = (cluster, signature, graph)
     return graph
 
 
